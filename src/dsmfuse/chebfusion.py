@@ -61,6 +61,8 @@ class ChebDensity:
         c = np.asarray(self.coeffs, dtype=float)
         if c.ndim != 2 or c.shape[0] != c.shape[1]:
             raise ValueError("coefficient matrix must be square")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("coefficients must be finite")
         c = c.copy()
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
@@ -297,7 +299,10 @@ def load_coeffs(path) -> ChebDensity:
     coeffs = np.array(rows)
     if coeffs.shape != (n + 1, n + 1):
         raise ValueError(f"{path}: expected {n + 1}x{n + 1} coefficients")
-    return ChebDensity(coeffs)
+    try:
+        return ChebDensity(coeffs)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def grid_samples(d: ChebDensity, g: int) -> tuple[np.ndarray, np.ndarray]:

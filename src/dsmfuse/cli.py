@@ -90,6 +90,7 @@ def cmd_fuse_demo(args) -> int:
         cf.save_grid(d, out / f"{name}.grid", g=args.grid)
         cf.save_coeffs(d, out / f"{name}.cheb")
 
+    # The probe step is 2/255, so its argmax is good to two decimals only.
     probe = np.linspace(-1, 1, 256)
     values = cf.evaluate(fused, probe[:, None], probe[None, :])
     i, j = np.unravel_index(np.argmax(values), values.shape)
@@ -97,7 +98,7 @@ def cmd_fuse_demo(args) -> int:
     print(
         f"mass m1={cf.integral_full(m1):.9f} m2={cf.integral_full(m2):.9f} "
         f"fused={cf.integral_full(fused):.9f} "
-        f"argmax=({probe[i]:.4f}, {probe[j]:.4f}) "
+        f"argmax=({probe[i]:.2f}, {probe[j]:.2f}) "
         f"elapsed={elapsed:.2f}s"
     )
     return 0

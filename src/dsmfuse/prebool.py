@@ -16,6 +16,7 @@ that contains the empty set alongside other sets likewise absorbs to TOP.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 
@@ -187,120 +188,123 @@ def is_insulated(gamma: ConstraintSet) -> bool:
     )
 
 
-class _UnionFind:
-    def __init__(self, size: int) -> None:
-        self.parent = list(range(size))
+def truth_table(p: Proposition) -> int:
+    """The 2^n-bit up-set table of p: bit S is set iff atom set S contains a clause.
 
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
+    These are the join-irreducibles below p in the free distributive lattice
+    (Birkhoff duality), so meet is ``&``, join is ``|`` and p <= q iff
+    ``T(p) & ~T(q) == 0``.
+    """
+    up = _up_sets(p.n)
+    table = 0
+    for c in p.clauses:
+        table |= up[c]
+    return table
 
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if rb < ra:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        return True
+
+@lru_cache(maxsize=None)
+def _up_sets(n: int) -> tuple[int, ...]:
+    # up[c] has bit S set for every atom set S containing clause c.
+    subsets = range(1 << n)
+    return tuple(sum(1 << s for s in subsets if s & c == c) for c in subsets)
 
 
 class Quotient:
     """A finite pre-Boolean algebra: a closed universe modulo a congruence.
 
     The congruence is the least equivalence containing the constraint pairs
-    and compatible with meet and join.  It is computed by union-find seeded
-    with the pairs, followed by fixpoint sweeps over the full meet/join
-    tables.  Class representatives are the minimum members under
+    and compatible with meet and join.  Each element is held as its
+    :func:`truth_table`.  Congruences of a finite distributive lattice are
+    Boolean on its join-irreducibles (Birkhoff; Grätzer, *Lattice Theory:
+    Foundation*, §II.3), so the least one holding the pairs is the single mask
+    ``M = OR of T(p) ^ T(q)`` over them: x and y are congruent iff
+    ``T(x) & ~M == T(y) & ~M``.  A closed universe smaller than the free
+    algebra is a sublattice of it, and distributive lattices have the
+    congruence extension property, so the mask still gives its least
+    congruence.  Class representatives are the minimum members under
     :func:`prop_key`, so output is reproducible.
     """
 
     def __init__(self, universe: Sequence[Proposition], gamma: ConstraintSet) -> None:
         self.universe = sorted(universe, key=prop_key)
-        self._index = {p: i for i, p in enumerate(self.universe)}
-        if len(self._index) != len(self.universe):
+        if not self.universe:
+            raise ValueError("universe is empty")
+        n = self.universe[0].n
+        if any(p.n != n for p in self.universe):
+            raise ValueError("universe mixes atom universes")
+        self._table = {p: truth_table(p) for p in self.universe}
+        if len(self._table) != len(self.universe):
             raise ValueError("universe contains duplicate propositions")
-        size = len(self.universe)
-
-        def idx(p: Proposition) -> int:
-            try:
-                return self._index[p]
-            except KeyError:
-                raise ValueError(
-                    f"proposition {format_proposition(p)} is outside the universe"
-                ) from None
-
-        self._meet_table = [
-            [idx(meet(p, q)) for q in self.universe] for p in self.universe
-        ]
-        self._join_table = [
-            [idx(join(p, q)) for q in self.universe] for p in self.universe
-        ]
-
-        uf = _UnionFind(size)
-        for p, q in gamma.pairs:
-            uf.union(idx(p), idx(q))
-        self._close_congruence(uf)
-
-        members: dict[int, list[int]] = {}
-        for i in range(size):
-            members.setdefault(uf.find(i), []).append(i)
-        # Member lists are index-sorted, and indices follow prop_key order,
-        # so the first member of each class is its representative.
-        self._rep_of = [0] * size
-        self.classes: dict[Proposition, frozenset[Proposition]] = {}
-        for group in members.values():
-            rep = group[0]
-            for i in group:
-                self._rep_of[i] = rep
-            self.classes[self.universe[rep]] = frozenset(
-                self.universe[i] for i in group
+        tables = list(self._table.values())
+        outside = (
+            {a & b for a in tables for b in tables}
+            | {a | b for a in tables for b in tables}
+        ) - set(tables)
+        if outside:
+            t = min(outside)
+            p = make_prop(n, [s for s in range(1 << n) if t >> s & 1])
+            raise ValueError(
+                f"proposition {format_proposition(p)} is outside the universe"
             )
-        self.representatives = sorted(self.classes, key=prop_key)
-        self.bottom = self.class_of(bottom(self.universe[0].n))
-        self.top = self.class_of(top(self.universe[0].n))
 
-    def _close_congruence(self, uf: _UnionFind) -> None:
-        size = len(self.universe)
-        changed = True
-        while changed:
-            changed = False
-            for table in (self._meet_table, self._join_table):
-                for r in range(size):
-                    seen: dict[int, int] = {}
-                    for i in range(size):
-                        ci = uf.find(i)
-                        v = uf.find(table[i][r])
-                        prev = seen.get(ci)
-                        if prev is None:
-                            seen[ci] = v
-                        elif prev != v:
-                            uf.union(prev, v)
-                            changed = True
+        mask = 0
+        for p, q in gamma.pairs:
+            try:
+                mask |= self._table[p] ^ self._table[q]
+            except KeyError:
+                raise self._outside(p, q) from None
+        self._keep = keep = ~mask
+
+        members: dict[int, list[Proposition]] = {}
+        for p in self.universe:
+            members.setdefault(self._table[p] & keep, []).append(p)
+        # Member lists follow prop_key order, so the first member of each
+        # class is its representative, and classes are inserted in
+        # representative order.
+        self._rep = {key: group[0] for key, group in members.items()}
+        self.classes: dict[Proposition, frozenset[Proposition]] = {
+            group[0]: frozenset(group) for group in members.values()
+        }
+        self.representatives = list(self.classes)
+        self.bottom = self.class_of(bottom(n))
+        self.top = self.class_of(top(n))
+
+    # The operations index the tables inline: they are the hot path of belief
+    # fusion, and a helper call per operand costs more than the work.
 
     def class_of(self, p: Proposition) -> Proposition:
         """Representative of p's congruence class."""
         try:
-            i = self._index[p]
+            return self._rep[self._table[p] & self._keep]
         except KeyError:
-            raise ValueError(
-                f"proposition {format_proposition(p)} is outside the universe"
-            ) from None
-        return self.universe[self._rep_of[i]]
+            raise self._outside(p) from None
 
     def meet(self, p: Proposition, q: Proposition) -> Proposition:
-        i, j = self._index[p], self._index[q]
-        return self.universe[self._rep_of[self._meet_table[i][j]]]
+        t = self._table
+        try:
+            return self._rep[t[p] & t[q] & self._keep]
+        except KeyError:
+            raise self._outside(p, q) from None
 
     def join(self, p: Proposition, q: Proposition) -> Proposition:
-        i, j = self._index[p], self._index[q]
-        return self.universe[self._rep_of[self._join_table[i][j]]]
+        t = self._table
+        try:
+            return self._rep[(t[p] | t[q]) & self._keep]
+        except KeyError:
+            raise self._outside(p, q) from None
 
     def leq(self, p: Proposition, q: Proposition) -> bool:
-        return self.meet(p, q) == self.class_of(p)
+        t = self._table
+        try:
+            return not t[p] & ~t[q] & self._keep
+        except KeyError:
+            raise self._outside(p, q) from None
+
+    def _outside(self, *props: Proposition) -> ValueError:
+        foreign = next(p for p in props if p not in self._table)
+        return ValueError(
+            f"proposition {format_proposition(foreign)} is outside the universe"
+        )
 
 
 def quotient(universe: Sequence[Proposition], gamma: ConstraintSet) -> Quotient:

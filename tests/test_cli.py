@@ -1,8 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from dsmfuse import chebfusion as cf
 from dsmfuse import cli
+
+import demo_closed_form as dcf
 
 EXAMPLE3_CONSTRAINTS = "a0 & a1 = a0 & a2\na0 & a2 = a1 & a2\n"
 
@@ -146,3 +150,41 @@ def test_output_is_deterministic(tmp_path, capsys):
     first = run(capsys, "hyperpower", "-n", "3", "-c", str(path))[1]
     second = run(capsys, "hyperpower", "-n", "3", "-c", str(path))[1]
     assert first == second
+
+
+def test_fuse_demo_argmax_agrees_with_closed_form(tmp_path, capsys):
+    code, out, _ = run(capsys, "fuse-demo", "--grid", "9", "--out", str(tmp_path / "d"))
+    assert code == 0
+    printed = re.search(r"argmax=\((\S+), (\S+)\)", out).groups()
+    assert printed == (f"{dcf.X_STAR:.2f}", f"{-dcf.X_STAR:.2f}")
+
+
+def nan_coeffs(tmp_path):
+    path = tmp_path / "nan.cheb"
+    cf.save_coeffs(cf.normalize(cf.fit(cf.gaussian(-1, 0), 16)), path)
+    lines = path.read_text().splitlines()
+    first = lines[1].split()
+    lines[1] = " ".join(["nan"] + first[1:])
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_belief_command_rejects_nan_coefficients(tmp_path, capsys):
+    path = nan_coeffs(tmp_path)
+    code, out, err = run(capsys, "belief", str(path), "0", "0")
+    assert code == cli.EXIT_PARSE
+    assert out == ""
+    assert "finite" in err
+
+
+def test_fuse_command_rejects_nan_coefficients(tmp_path, capsys):
+    good = tmp_path / "good.cheb"
+    cf.save_coeffs(cf.normalize(cf.fit(cf.gaussian(0, 1), 16)), good)
+    out_path = tmp_path / "f.cheb"
+    code, out, err = run(
+        capsys, "fuse", str(nan_coeffs(tmp_path)), str(good), "--out", str(out_path)
+    )
+    assert code == cli.EXIT_PARSE
+    assert out == ""
+    assert "finite" in err
+    assert not out_path.exists()

@@ -161,11 +161,34 @@ def test_quotient_congruence_soundness(example3):
 
 def test_quotient_rejects_foreign_proposition():
     q = pb.free_algebra(2)
+    alien, home = pb.atom_prop(3, 0), pb.atom_prop(2, 0)
     with pytest.raises(ValueError):
-        q.class_of(pb.atom_prop(3, 0))
+        q.class_of(alien)
+    for op in (q.meet, q.join, q.leq):
+        for p, r in ((alien, home), (home, alien)):
+            with pytest.raises(ValueError, match="outside the universe"):
+                op(p, r)
     foreign = pb.ConstraintSet(((pb.atom_prop(3, 0), pb.atom_prop(3, 1)),))
     with pytest.raises(ValueError):
         pb.quotient(pb.enumerate_hyperpower(2), foreign)
+    no_top = [p for p in pb.enumerate_hyperpower(2) if not p.is_top]
+    with pytest.raises(ValueError, match="top"):
+        pb.quotient(no_top, pb.ConstraintSet(()))
+
+
+def test_quotient_rejects_malformed_universe():
+    universe = pb.enumerate_hyperpower(2)
+    a, b = pb.atom_prop(2, 0), pb.atom_prop(2, 1)
+    with pytest.raises(ValueError, match="duplicate"):
+        pb.quotient(universe + [a], pb.ConstraintSet(()))
+    # dropping a & b leaves the meet of a and b outside
+    open_universe = [p for p in universe if p != pb.meet(a, b)]
+    with pytest.raises(ValueError, match="a0 & a1"):
+        pb.quotient(open_universe, pb.ConstraintSet(()))
+    with pytest.raises(ValueError, match="mixes"):
+        pb.quotient(universe + [pb.atom_prop(3, 0)], pb.ConstraintSet(()))
+    with pytest.raises(ValueError, match="empty"):
+        pb.quotient([], pb.ConstraintSet(()))
 
 
 def test_is_insulated(example3):
