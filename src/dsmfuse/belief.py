@@ -76,14 +76,6 @@ def bel_table(m: FiniteBba) -> dict[Proposition, object]:
     return {rep: bel(m, rep) for rep in m.algebra.representatives}
 
 
-def _linear_extension(algebra: Quotient) -> list[Proposition]:
-    # Sorting by downset size is a topological order of leq; the deterministic
-    # representative order breaks ties.
-    reps = algebra.representatives
-    below = {p: sum(1 for q in reps if algebra.leq(q, p)) for p in reps}
-    return sorted(reps, key=lambda p: below[p])
-
-
 def bba_from_bel(
     algebra: Quotient,
     bel_values: Mapping[Proposition, object],
@@ -92,9 +84,10 @@ def bba_from_bel(
 ) -> FiniteBba:
     """Invert a belief table back into its mass function.
 
-    Sweeps a linear extension of the order, peeling off the mass already
-    assigned strictly below each class.  A recovered mass below ``-tol``
-    signals an inconsistent belief table.
+    Sweeps the classes in :meth:`Quotient.rank` order, a linear extension of
+    the order, peeling off the mass already assigned strictly below each
+    class.  A recovered mass below ``-tol`` signals an inconsistent belief
+    table.
     """
     values = {algebra.class_of(p): v for p, v in bel_values.items()}
     missing = [p for p in algebra.representatives if p not in values]
@@ -105,7 +98,7 @@ def bba_from_bel(
             else f"belief table misses {format_proposition(missing[0])}"
         )
     mass: dict[Proposition, object] = {}
-    for phi in _linear_extension(algebra):
+    for phi in sorted(algebra.representatives, key=algebra.rank):
         mv = values[phi] - sum(
             v for p, v in mass.items() if p != phi and algebra.leq(p, phi)
         )

@@ -290,15 +290,20 @@ def save_coeffs(d: ChebDensity, path) -> None:
 
 
 def load_coeffs(path) -> ChebDensity:
+    """Read a :func:`save_coeffs` file, stopping at the first malformed row."""
     with open(path) as fh:
         header = fh.readline().split()
-        if len(header) != 2 or header[0] != "cheb2d":
+        if len(header) != 2 or header[0] != "cheb2d" or not header[1].isdecimal():
             raise ValueError(f"{path}: malformed coefficient header")
         n = int(header[1])
-        rows = [[float(v) for v in fh.readline().split()] for _ in range(n + 1)]
+        rows = []
+        for k in range(1, n + 2):
+            rows.append([float(v) for v in fh.readline().split()])
+            if len(rows[-1]) != n + 1:
+                raise ValueError(
+                    f"{path}: row {k} holds {len(rows[-1])} coefficients, expected {n + 1}"
+                )
     coeffs = np.array(rows)
-    if coeffs.shape != (n + 1, n + 1):
-        raise ValueError(f"{path}: expected {n + 1}x{n + 1} coefficients")
     try:
         return ChebDensity(coeffs)
     except ValueError as exc:

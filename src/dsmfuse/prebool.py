@@ -1,22 +1,19 @@
 """Free hyperpower sets over finite atom sets, and their constrained quotients.
 
 A proposition over n atoms is a negation-free combination of the atoms under
-conjunction and disjunction.  It is kept here in a canonical disjunctive form:
-an inclusion-minimal antichain of clauses, each clause being the bitmask of
-the atom indices it conjoins.  Two distinguished constants exist:
-
-* BOTTOM -- the empty antichain (the empty disjunction),
-* TOP    -- the antichain whose single clause is the empty conjunction.
-
-Canonicalization deletes every clause that strictly contains another member,
-so for instance ``a | (a & b)`` reduces to ``a``.  A family of clause sets
-that contains the empty set alongside other sets likewise absorbs to TOP.
+conjunction and disjunction.  By Birkhoff duality (Grätzer, *Lattice Theory:
+Foundation*, §II.3) it is an up-set of atom sets, and it is stored as that
+up-set's truth table: a 2^n-bit integer whose bit S is set iff the atom set S
+(a bitmask) contains one of its clauses.  Meet, join and order are then ``&``,
+``|`` and ``p & ~q == 0``.  BOTTOM is the empty table and TOP the full one.
+The disjunctive form is a derived view: ``clauses``, the inclusion-minimal
+set bits, so for instance ``a | (a & b)`` reads back as ``a``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 
@@ -33,75 +30,95 @@ def atoms(n: int) -> list[Atom]:
     return [Atom(i, f"a{i}") for i in range(n)]
 
 
+@lru_cache(maxsize=None)
+def _up_sets(n: int) -> tuple[int, ...]:
+    # up[c] has bit S set for every atom set S containing clause c.
+    subsets = range(1 << n)
+    return tuple(sum(1 << s for s in subsets if s & c == c) for c in subsets)
+
+
+@lru_cache(maxsize=None)
+def _atom_tuples(n: int) -> tuple[tuple[int, ...], ...]:
+    # The sorted atom indices of every clause bitmask, for prop_key.
+    return tuple(tuple(i for i in range(n) if c >> i & 1) for c in range(1 << n))
+
+
 @dataclass(frozen=True)
 class Proposition:
-    """Canonical antichain of clauses over a fixed atom universe of size n.
+    """The truth table of a proposition over a fixed atom universe of size n.
 
-    ``clauses`` is a frozenset of bitmasks; bit i of a clause means atom i is
-    conjoined in it.  Instances are built through :func:`make_prop` or
-    :func:`varphi`, which canonicalize.
+    Bit S of ``table`` is set iff the atom set S contains a clause; the table
+    is therefore an up-set of atom sets.  Instances are built through
+    :func:`make_prop`, :func:`varphi` or :func:`atom_prop`, or by the lattice
+    operations; equality and hashing look at ``n`` and ``table`` only.
     """
 
     n: int
-    clauses: frozenset[int]
+    table: int
 
     @property
     def is_bottom(self) -> bool:
-        return not self.clauses
+        return self.table == 0
 
     @property
     def is_top(self) -> bool:
-        return self.clauses == frozenset({0})
+        return bool(self.table & 1)
 
-
-def _minimal_antichain(masks: Iterable[int]) -> frozenset[int]:
-    # Keep only the inclusion-minimal clauses.  Sorting by popcount lets each
-    # candidate be checked against the already-kept (smaller) clauses only.
-    kept: list[int] = []
-    for c in sorted(set(masks), key=lambda m: (m.bit_count(), m)):
-        if not any(k & c == k for k in kept):
-            kept.append(c)
-    return frozenset(kept)
+    @cached_property
+    def clauses(self) -> frozenset[int]:
+        """The clause antichain: the inclusion-minimal set bits of ``table``."""
+        up, t = _up_sets(self.n), self.table
+        # S is covered when S minus some atom i is already in the table:
+        # shifting the sets that lack i by 2^i adds i to each of them.
+        covered = 0
+        for i in range(self.n):
+            covered |= (t & ~up[1 << i]) << (1 << i)
+        minimal = t & ~covered
+        return frozenset(c for c in range(1 << self.n) if minimal >> c & 1)
 
 
 def make_prop(n: int, masks: Iterable[int]) -> Proposition:
-    """Build the canonical proposition with the given clause bitmasks."""
-    for m in set(masks) if not isinstance(masks, (set, frozenset)) else masks:
+    """The proposition whose clauses are the given bitmasks (absorbed ones drop)."""
+    up = _up_sets(n)
+    table = 0
+    for m in masks:
         if m < 0 or m >> n:
             raise ValueError(f"clause {m:#x} references atoms outside [0, {n})")
-    return Proposition(n, _minimal_antichain(masks))
+        table |= up[m]
+    return Proposition(n, table)
 
 
 def bottom(n: int) -> Proposition:
-    return Proposition(n, frozenset())
+    return Proposition(n, 0)
 
 
 def top(n: int) -> Proposition:
-    return Proposition(n, frozenset({0}))
+    return Proposition(n, _up_sets(n)[0])
 
 
 def atom_prop(n: int, i: int) -> Proposition:
     """The proposition consisting of the single atom ``a{i}``."""
     if not 0 <= i < n:
         raise ValueError(f"atom index {i} out of range [0, {n})")
-    return Proposition(n, frozenset({1 << i}))
+    return Proposition(n, _up_sets(n)[1 << i])
 
 
 def varphi(n: int, sigma_family: Iterable[Iterable[int]]) -> Proposition:
-    """Canonical disjunction-of-conjunctions for a family of atom subsets.
+    """Disjunction of the conjunctions of a family of atom subsets.
 
     The empty family gives BOTTOM; a family containing the empty subset
     absorbs everything else and gives TOP.
     """
-    masks = []
+    up = _up_sets(n)
+    table = 0
     for sigma in sigma_family:
         mask = 0
         for i in sigma:
             if not 0 <= i < n:
                 raise ValueError(f"atom index {i} out of range [0, {n})")
             mask |= 1 << i
-        masks.append(mask)
-    return Proposition(n, _minimal_antichain(masks))
+        table |= up[mask]
+    return Proposition(n, table)
 
 
 def _check_same_universe(p: Proposition, q: Proposition) -> None:
@@ -110,64 +127,48 @@ def _check_same_universe(p: Proposition, q: Proposition) -> None:
 
 
 def meet(p: Proposition, q: Proposition) -> Proposition:
-    """Conjunction: pairwise clause unions, re-canonicalized."""
+    """Conjunction: the intersection of the truth tables."""
     _check_same_universe(p, q)
-    return Proposition(
-        p.n, _minimal_antichain(s | g for s in p.clauses for g in q.clauses)
-    )
+    return Proposition(p.n, p.table & q.table)
 
 
 def join(p: Proposition, q: Proposition) -> Proposition:
-    """Disjunction: union of the clause sets, re-canonicalized."""
+    """Disjunction: the union of the truth tables."""
     _check_same_universe(p, q)
-    return Proposition(p.n, _minimal_antichain(p.clauses | q.clauses))
+    return Proposition(p.n, p.table | q.table)
 
 
 def leq(p: Proposition, q: Proposition) -> bool:
-    """Order test: p <= q iff meet(p, q) == p.
-
-    On canonical forms this is equivalent to: every clause of p contains some
-    clause of q (each conjunction of p implies one of q's disjuncts).
-    """
+    """Order test: p <= q iff every atom set satisfying p satisfies q."""
     _check_same_universe(p, q)
-    return all(any(d & c == d for d in q.clauses) for c in p.clauses)
+    return not p.table & ~q.table
 
 
 def prop_key(p: Proposition) -> tuple[tuple[int, ...], ...]:
     """Deterministic total-order key: sorted tuple of sorted clause tuples."""
-    return tuple(
-        sorted(tuple(i for i in range(p.n) if c >> i & 1) for c in p.clauses)
-    )
+    atom_tuples = _atom_tuples(p.n)
+    return tuple(sorted(atom_tuples[c] for c in p.clauses))
 
 
 DEFAULT_ATOM_GUARD = 4
 
 
 def enumerate_hyperpower(n: int, max_atoms: int = DEFAULT_ATOM_GUARD) -> list[Proposition]:
-    """All distinct canonical propositions over n atoms, sorted.
+    """All distinct propositions over n atoms, sorted by :func:`prop_key`.
 
-    The count is the n-th Dedekind number (3, 6, 20, 168 for n = 1..4), which
+    Every up-set is a union of principal up-sets, so closing ``{BOTTOM}``
+    under ``t | up[c]`` for each clause c in turn reaches all of them.  The
+    count is the n-th Dedekind number (3, 6, 20, 168 for n = 1..4), which
     grows too fast for n > 5; ``max_atoms`` guards against runaway sizes.
     """
     if n < 1:
         raise ValueError("need at least one atom")
     if n > max_atoms:
         raise ValueError(f"n={n} exceeds the enumeration guard ({max_atoms})")
-    masks = list(range(1 << n))
-    out: list[Proposition] = []
-
-    def extend(start: int, chosen: list[int]) -> None:
-        out.append(Proposition(n, frozenset(chosen)))
-        for i in range(start, len(masks)):
-            m = masks[i]
-            if any(c & m == c or c & m == m for c in chosen):
-                continue
-            chosen.append(m)
-            extend(i + 1, chosen)
-            chosen.pop()
-
-    extend(0, [])
-    return sorted(out, key=prop_key)
+    tables = {0}
+    for u in _up_sets(n):
+        tables |= {t | u for t in tables}
+    return sorted((Proposition(n, t) for t in tables), key=prop_key)
 
 
 @dataclass(frozen=True)
@@ -188,33 +189,12 @@ def is_insulated(gamma: ConstraintSet) -> bool:
     )
 
 
-def truth_table(p: Proposition) -> int:
-    """The 2^n-bit up-set table of p: bit S is set iff atom set S contains a clause.
-
-    These are the join-irreducibles below p in the free distributive lattice
-    (Birkhoff duality), so meet is ``&``, join is ``|`` and p <= q iff
-    ``T(p) & ~T(q) == 0``.
-    """
-    up = _up_sets(p.n)
-    table = 0
-    for c in p.clauses:
-        table |= up[c]
-    return table
-
-
-@lru_cache(maxsize=None)
-def _up_sets(n: int) -> tuple[int, ...]:
-    # up[c] has bit S set for every atom set S containing clause c.
-    subsets = range(1 << n)
-    return tuple(sum(1 << s for s in subsets if s & c == c) for c in subsets)
-
-
 class Quotient:
     """A finite pre-Boolean algebra: a closed universe modulo a congruence.
 
     The congruence is the least equivalence containing the constraint pairs
-    and compatible with meet and join.  Each element is held as its
-    :func:`truth_table`.  Congruences of a finite distributive lattice are
+    and compatible with meet and join.  Each element is held as its truth
+    table ``T = p.table``.  Congruences of a finite distributive lattice are
     Boolean on its join-irreducibles (Birkhoff; Grätzer, *Lattice Theory:
     Foundation*, §II.3), so the least one holding the pairs is the single mask
     ``M = OR of T(p) ^ T(q)`` over them: x and y are congruent iff
@@ -232,7 +212,9 @@ class Quotient:
         n = self.universe[0].n
         if any(p.n != n for p in self.universe):
             raise ValueError("universe mixes atom universes")
-        self._table = {p: truth_table(p) for p in self.universe}
+        # Maps each member to its table; the lookup also rejects foreign
+        # elements, whose tables may well collide with members' keys.
+        self._table = {p: p.table for p in self.universe}
         if len(self._table) != len(self.universe):
             raise ValueError("universe contains duplicate propositions")
         tables = list(self._table.values())
@@ -241,8 +223,7 @@ class Quotient:
             | {a | b for a in tables for b in tables}
         ) - set(tables)
         if outside:
-            t = min(outside)
-            p = make_prop(n, [s for s in range(1 << n) if t >> s & 1])
+            p = Proposition(n, min(outside))
             raise ValueError(
                 f"proposition {format_proposition(p)} is outside the universe"
             )
@@ -300,6 +281,14 @@ class Quotient:
         except KeyError:
             raise self._outside(p, q) from None
 
+    def rank(self, p: Proposition) -> int:
+        """``popcount(T(p) & ~M)``.  p < q makes p's class key a proper subset
+        of q's, so sorting by rank is a linear extension of the order."""
+        try:
+            return (self._table[p] & self._keep).bit_count()
+        except KeyError:
+            raise self._outside(p) from None
+
     def _outside(self, *props: Proposition) -> ValueError:
         foreign = next(p for p in props if p not in self._table)
         return ValueError(
@@ -354,11 +343,16 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
+# Each level of parentheses costs the parser three stack frames.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, tokens: list[str], n: int) -> None:
         self.tokens = tokens
         self.pos = 0
         self.n = n
+        self.depth = 0
 
     def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -387,7 +381,11 @@ class _Parser:
     def factor(self) -> Proposition:
         tok = self.take()
         if tok == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}")
+            self.depth += 1
             p = self.expr()
+            self.depth -= 1
             if self.take() != ")":
                 raise ParseError("expected ')'")
             return p
@@ -395,11 +393,13 @@ class _Parser:
             return bottom(self.n)
         if tok == "top":
             return top(self.n)
-        if tok.startswith("a") and tok[1:].isdigit():
-            i = int(tok[1:])
-            if i >= self.n:
+        digits = tok[1:]
+        if tok.startswith("a") and digits.isascii() and digits.isdigit():
+            # Compare lengths first: int() refuses strings of over 4300 digits.
+            digits = digits.lstrip("0") or "0"
+            if len(digits) > len(str(self.n)) or int(digits) >= self.n:
                 raise ParseError(f"atom {tok!r} out of range for {self.n} atoms")
-            return atom_prop(self.n, i)
+            return atom_prop(self.n, int(digits))
         raise ParseError(f"unexpected token {tok!r}")
 
 

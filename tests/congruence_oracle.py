@@ -16,6 +16,8 @@ from functools import lru_cache
 
 from dsmfuse import prebool as pb
 
+import antichain_oracle as ao
+
 
 class _UnionFind:
     def __init__(self, size):
@@ -38,19 +40,26 @@ class _UnionFind:
         return True
 
 
+def _key(p):
+    return ao.clause_key(p.n, p.clauses)
+
+
 @lru_cache(maxsize=None)
 def _tables(universe):
-    # Meet and join tables over universe indices; cached because building
-    # them is most of the cost at n = 4 and the tests reuse each universe.
+    # Meet and join tables over universe indices, computed on clause
+    # antichains so that no truth-table operation enters the oracle; cached
+    # because building them is most of the cost at n = 4 and the tests reuse
+    # each universe.
     index = {p: i for i, p in enumerate(universe)}
-    meet = [[index[pb.meet(p, q)] for q in universe] for p in universe]
-    join = [[index[pb.join(p, q)] for q in universe] for p in universe]
+    by_clauses = {p.clauses: i for i, p in enumerate(universe)}
+    meet = [[by_clauses[ao.meet(p.clauses, q.clauses)] for q in universe] for p in universe]
+    join = [[by_clauses[ao.join(p.clauses, q.clauses)] for q in universe] for p in universe]
     return index, meet, join
 
 
 class ClosureQuotient:
     def __init__(self, universe, gamma):
-        self.universe = sorted(universe, key=pb.prop_key)
+        self.universe = sorted(universe, key=_key)
         self._index, self._meet_table, self._join_table = _tables(tuple(self.universe))
         size = len(self.universe)
 
@@ -71,7 +80,7 @@ class ClosureQuotient:
             for i in group:
                 self._rep_of[i] = rep
             self.classes[self.universe[rep]] = frozenset(self.universe[i] for i in group)
-        self.representatives = sorted(self.classes, key=pb.prop_key)
+        self.representatives = sorted(self.classes, key=_key)
         self.bottom = self.class_of(pb.bottom(self.universe[0].n))
         self.top = self.class_of(pb.top(self.universe[0].n))
 

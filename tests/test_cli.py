@@ -188,3 +188,28 @@ def test_fuse_command_rejects_nan_coefficients(tmp_path, capsys):
     assert out == ""
     assert "finite" in err
     assert not out_path.exists()
+
+
+def test_hyperpower_rejects_deep_nesting(tmp_path, capsys):
+    path = tmp_path / "deep.txt"
+    path.write_text("(" * 5000 + "a0" + ")" * 5000 + " = a1\n")
+    code, out, err = run(capsys, "hyperpower", "-n", "2", "-c", str(path))
+    assert code == cli.EXIT_PARSE
+    assert out == ""
+    assert str(path) in err and "nested" in err
+
+
+@pytest.mark.parametrize("text, message", [
+    # Headers promising far more rows than the file holds must fail at the
+    # first short row instead of reading on.
+    ("cheb2d 2000000\n1 2 3\n", "row 1 holds 3 coefficients, expected 2000001"),
+    ("cheb2d 1\n0.25 0\n", "row 2 holds 0 coefficients, expected 2"),
+    ("cheb2d 1\n0.25 0\n0 1 2\n", "row 2 holds 3 coefficients, expected 2"),
+])
+def test_belief_command_stops_at_first_bad_row(tmp_path, capsys, text, message):
+    path = tmp_path / "short.cheb"
+    path.write_text(text)
+    code, out, err = run(capsys, "belief", str(path), "0", "0")
+    assert code == cli.EXIT_PARSE
+    assert out == ""
+    assert err.startswith(f"error: {path}: {message}")

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dsmfuse import ordered as od
 from dsmfuse import prebool as pb
 
 
@@ -28,6 +29,11 @@ def test_varphi_reduces_absorbed_clause():
 def test_varphi_empty_subset_absorbs_everything():
     # a family containing the empty conjunction collapses to TOP
     assert pb.varphi(2, [set(), {0}]) == pb.top(2)
+
+
+def test_make_prop_accepts_a_generator():
+    a, b = pb.atom_prop(2, 0), pb.atom_prop(2, 1)
+    assert pb.make_prop(2, (m for m in [1, 2])) == pb.join(a, b)
 
 
 def test_meet_examples():
@@ -226,3 +232,41 @@ def test_parse_constraints_reports_line():
 def test_parse_rejects_unknown_atom():
     with pytest.raises(pb.ParseError):
         pb.parse_proposition("a5", 2)
+
+
+@pytest.mark.parametrize("constrained", [False, True])
+def test_rank_is_a_linear_extension(constrained):
+    universe = pb.enumerate_hyperpower(4)
+    gamma = od.order_constraints(4) if constrained else pb.ConstraintSet(())
+    q = pb.quotient(universe, gamma)
+    for p in q.representatives:
+        for r in q.representatives:
+            if p != r and q.leq(p, r):
+                assert q.rank(p) < q.rank(r)
+    with pytest.raises(ValueError, match="outside the universe"):
+        q.rank(pb.atom_prop(3, 0))
+
+
+GRAMMAR_ALPHABET = st.sampled_from(
+    list("a0123456789&|()=# \n") + ["bot", "top", "a0", "a1", "a2"]
+)
+
+
+@settings(max_examples=500)
+@given(st.lists(GRAMMAR_ALPHABET, max_size=60).map("".join), st.integers(1, 4))
+def test_parse_constraints_fuzz(text, n):
+    try:
+        gamma = pb.parse_constraints(text, n)
+    except pb.ParseError:
+        return
+    assert all(p.n == q.n == n for p, q in gamma.pairs)
+
+
+def test_parse_rejects_deep_nesting_and_long_atoms():
+    depth = pb.MAX_NESTING
+    assert pb.parse_proposition("(" * depth + "a0" + ")" * depth, 2) == pb.atom_prop(2, 0)
+    with pytest.raises(pb.ParseError, match="nested"):
+        pb.parse_proposition("(" * (depth + 1) + "a0" + ")" * (depth + 1), 2)
+    with pytest.raises(pb.ParseError, match="out of range"):
+        pb.parse_proposition("a" + "9" * 5000, 2)
+    assert pb.parse_proposition("a" + "0" * 5000 + "1", 2) == pb.atom_prop(2, 1)
