@@ -198,8 +198,7 @@ def belief(m: ChebDensity, iv: GeneralizedInterval) -> float:
     the belief is the integral of the density over u in [lo, 1], v in
     [-1, hi].
     """
-    _require_normalized(m)
-    return evaluate(cumulative(m, corner=(-1, 1)), iv.lo, iv.hi)
+    return evaluate(belief_surface(m), iv.lo, iv.hi)
 
 
 def belief_surface(m: ChebDensity) -> ChebDensity:

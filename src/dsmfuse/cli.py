@@ -144,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ordered", help="verify the staircase isomorphism")
     p.add_argument("-n", type=int, required=True)
-    p.add_argument("--max-atoms", type=int, default=4)
+    p.add_argument("--max-atoms", type=int, default=prebool.DEFAULT_ATOM_GUARD)
     p.set_defaults(func=cmd_ordered)
 
     p = sub.add_parser("fuse-demo", help="run the Gaussian fusion experiment")

@@ -3,99 +3,103 @@
 Atoms a0 <= a1 <= ... <= a{n-1} induce the discarding constraints
 ``ai & aj & ak = ai & ak`` for every i <= j <= k.  The resulting quotient
 (minus BOTTOM and TOP) is concretely realized by the non-empty increasing
-subsets of the triangle {(i, j): i <= j}: each such subset is a staircase,
-stored here as a per-column threshold array.  A separate pair-set
-representation is kept as an independent oracle for testing.
+subsets of the triangle {(i, j): i <= j}, the staircases.  Pair (i, j) stands
+for the contiguous atom set {i..j}, and the congruence mask of the order
+constraints keeps exactly the truth-table bits of those sets, besides the
+empty set's, which only TOP has.  A staircase is therefore the interval part
+of a truth table: (i, j) lies in ``smile(p)`` iff bit {i..j} of ``p.table``
+is set, and meet and join are ``&`` and ``|``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 
 from . import prebool
 from .prebool import ConstraintSet, Proposition, Quotient, varphi
 
 
+def _interval(i: int, j: int) -> int:
+    """Bitmask of the contiguous atom set {i..j}."""
+    return (1 << (j + 1)) - (1 << i)
+
+
+@lru_cache(maxsize=None)
+def _triangle(n: int) -> int:
+    """Truth-table bits of the contiguous atom sets {i..j}, 0 <= i <= j < n."""
+    return sum(1 << _interval(i, j) for j in range(n) for i in range(j + 1))
+
+
 @dataclass(frozen=True)
 class Staircase:
     """Non-empty increasing subset of {(i, j): i <= j} over n atoms.
 
-    ``thresholds[j]`` is the largest first coordinate present in column j,
-    or None when the column is empty.  Membership: (i, j) in the set iff
-    thresholds[j] is defined and i <= thresholds[j].
+    Bit {i..j} of ``table``, indexed as in ``Proposition.table``, is set iff
+    (i, j) belongs to the staircase.  Increasing means up-closed: with (i, j)
+    every (a, b) with a <= i and b >= j belongs too.  Equality and hashing
+    look at ``n`` and ``table`` only.
     """
 
     n: int
-    thresholds: tuple[int | None, ...]
+    table: int
 
     def __post_init__(self) -> None:
-        t = self.thresholds
-        if len(t) != self.n:
-            raise ValueError("threshold array length must equal n")
-        if all(v is None for v in t):
+        t, triangle = self.table, _triangle(self.n)
+        if not t:
             raise ValueError("staircase must be non-empty")
-        prev = None
-        for j, v in enumerate(t):
-            if v is None:
-                if prev is not None:
-                    raise ValueError("columns must stay defined once defined")
-                continue
-            if not 0 <= v <= j:
-                raise ValueError(f"threshold {v} out of range for column {j}")
-            if prev is not None and v < prev:
-                raise ValueError("thresholds must be non-decreasing")
-            prev = v
+        if t & ~triangle:
+            raise ValueError("staircase table has a bit outside the triangle")
+        # Shifting the sets that lack atom i by 2^i adds i to each, as in
+        # Proposition.clauses; the intervals among the results are the
+        # one-step extensions, through which every larger interval is reached.
+        up = prebool._up_sets(self.n)
+        grown = 0
+        for i in range(self.n):
+            grown |= (t & ~up[1 << i]) << (1 << i)
+        if grown & triangle & ~t:
+            raise ValueError("staircase must be up-closed")
 
     def pairs(self) -> frozenset[tuple[int, int]]:
-        """Explicit pair-set view {(i, j): i <= thresholds[j]}."""
+        """Explicit pair-set view {(i, j): bit {i..j} of the table is set}."""
         return frozenset(
             (i, j)
-            for j, t in enumerate(self.thresholds)
-            if t is not None
-            for i in range(t + 1)
+            for j in range(self.n)
+            for i in range(j + 1)
+            if self.table >> _interval(i, j) & 1
+        )
+
+    @cached_property
+    def thresholds(self) -> tuple[int | None, ...]:
+        """Per column j, the largest i with (i, j) present, or None if none is."""
+        return tuple(
+            max(
+                (i for i in range(j + 1) if self.table >> _interval(i, j) & 1),
+                default=None,
+            )
+            for j in range(self.n)
         )
 
 
 def point(x: int, n: int) -> Staircase:
     """The staircase modelling the single atom a{x}: pairs (i, j), i <= x <= j."""
-    if not 0 <= x < n:
-        raise ValueError(f"atom index {x} out of range [0, {n})")
-    return Staircase(n, tuple(None if j < x else x for j in range(n)))
+    return smile(prebool.atom_prop(n, x))
 
 
 def stair_meet(s1: Staircase, s2: Staircase) -> Staircase | None:
-    """Intersection: pointwise minimum of thresholds; None when empty."""
+    """Intersection: the tables' ``&``; None when empty."""
     if s1.n != s2.n:
         raise ValueError("mixed staircase sizes")
-    t = tuple(
-        None if a is None or b is None else min(a, b)
-        for a, b in zip(s1.thresholds, s2.thresholds)
-    )
-    if all(v is None for v in t):
-        return None
-    return Staircase(s1.n, t)
+    t = s1.table & s2.table
+    return Staircase(s1.n, t) if t else None
 
 
 def stair_join(s1: Staircase, s2: Staircase) -> Staircase:
-    """Union: pointwise maximum of thresholds."""
+    """Union: the tables' ``|``."""
     if s1.n != s2.n:
         raise ValueError("mixed staircase sizes")
-    t = tuple(
-        b if a is None else a if b is None else max(a, b)
-        for a, b in zip(s1.thresholds, s2.thresholds)
-    )
-    return Staircase(s1.n, t)
-
-
-def staircase_from_pairs(n: int, pairs) -> Staircase | None:
-    """Rebuild the threshold form from an explicit increasing pair set."""
-    cols: dict[int, int] = {}
-    for i, j in pairs:
-        cols[j] = max(i, cols.get(j, -1))
-    if not cols:
-        return None
-    return Staircase(n, tuple(cols.get(j) for j in range(n)))
+    return Staircase(s1.n, s1.table | s2.table)
 
 
 def order_constraints(n: int) -> ConstraintSet:
@@ -108,46 +112,32 @@ def order_constraints(n: int) -> ConstraintSet:
     return ConstraintSet(tuple(pairs))
 
 
-def smile(p: Proposition, n: int | None = None) -> Staircase:
-    """Map a proposition to its staircase model.
+def smile(p: Proposition) -> Staircase:
+    """Map a proposition to its staircase: the interval bits of its table.
 
-    Each clause contributes the rectangle of pairs dominated by its extreme
-    atoms (the meet of the min and max atom staircases); clauses are then
-    unioned.  Undefined on BOTTOM and TOP.
+    Undefined on BOTTOM and TOP.
     """
     if p.is_bottom or p.is_top:
         raise ValueError("smile is undefined on BOTTOM and TOP")
-    n = p.n if n is None else n
-    result: Staircase | None = None
-    for clause in p.clauses:
-        idx = [i for i in range(n) if clause >> i & 1]
-        s = stair_meet(point(min(idx), n), point(max(idx), n))
-        assert s is not None
-        result = s if result is None else stair_join(result, s)
-    assert result is not None
-    return result
+    return Staircase(p.n, p.table & _triangle(p.n))
 
 
 def enumerate_staircases(n: int) -> list[Staircase]:
-    """All non-empty increasing subsets of the triangle, by brute force.
+    """All staircases over n atoms, in table order.
 
-    Independent of :func:`smile`: iterates subsets of the triangle's pairs
-    and keeps those closed under decreasing i / increasing j.
+    Independent of :func:`smile` and of the quotient: every staircase is a
+    union of the principal ones ``up[{i..j}] & triangle``, so closing the
+    empty table under ``t | up[{i..j}] & triangle`` reaches all of them, as
+    :func:`prebool.enumerate_hyperpower` does for up-sets.  The count is the
+    Catalan number C_{n+1} minus one: 1, 4, 13, 41, 131 for n = 1..5.
     """
-    triangle = [(i, j) for j in range(n) for i in range(j + 1)]
-    out = []
-    for bits in range(1, 1 << len(triangle)):
-        subset = {triangle[k] for k in range(len(triangle)) if bits >> k & 1}
-        if all(
-            (a, b) in subset
-            for (i, j) in subset
-            for a in range(i + 1)
-            for b in range(j, n)
-        ):
-            s = staircase_from_pairs(n, subset)
-            assert s is not None
-            out.append(s)
-    return out
+    up, triangle = prebool._up_sets(n), _triangle(n)
+    tables = {0}
+    for j in range(n):
+        for i in range(j + 1):
+            u = up[_interval(i, j)] & triangle
+            tables |= {t | u for t in tables}
+    return [Staircase(n, t) for t in sorted(tables) if t]
 
 
 @dataclass
@@ -168,14 +158,16 @@ class IsomorphismReport:
         )
 
 
-def verify_isomorphism(n: int, max_atoms: int = 4) -> IsomorphismReport:
+def verify_isomorphism(
+    n: int, max_atoms: int = prebool.DEFAULT_ATOM_GUARD
+) -> IsomorphismReport:
     """Brute-force check that classes and staircases are the same structure.
 
     Builds the quotient of the hyperpower set by the order constraints,
     maps every non-trivial element through :func:`smile`, and checks that
-    equality of classes coincides with equality of staircases, that the
-    meet/join tables transport, and that the class count matches an
-    independent staircase enumeration.
+    equality of classes coincides with equality of staircase tables, that
+    the meet/join tables transport to ``&``/``|``, and that the class count
+    matches an independent staircase enumeration.
     """
     if n > max_atoms:
         raise ValueError(f"n={n} exceeds the verification guard ({max_atoms})")
@@ -183,14 +175,15 @@ def verify_isomorphism(n: int, max_atoms: int = 4) -> IsomorphismReport:
     q = Quotient(universe, order_constraints(n))
     problems: list[str] = []
 
-    class_to_stair: dict[Proposition, Staircase] = {}
-    stair_to_class: dict[Staircase, Proposition] = {}
+    # BOTTOM's interval part is empty, and a meet of two classes may land there.
+    class_to_stair: dict[Proposition, int] = {q.bottom: 0}
+    stair_to_class: dict[int, Proposition] = {}
     bijection_ok = True
     for p in universe:
         if p.is_bottom or p.is_top:
             continue
         rep = q.class_of(p)
-        s = smile(p)
+        s = smile(p).table
         if class_to_stair.setdefault(rep, s) != s:
             bijection_ok = False
             problems.append(
@@ -207,15 +200,14 @@ def verify_isomorphism(n: int, max_atoms: int = 4) -> IsomorphismReport:
     reps = [r for r in q.representatives if r != q.bottom and r != q.top]
     for p1 in reps:
         for p2 in reps:
-            sm = stair_meet(class_to_stair[p1], class_to_stair[p2])
-            if sm != class_to_stair.get(q.meet(p1, p2)):
+            s1, s2 = class_to_stair[p1], class_to_stair[p2]
+            if s1 & s2 != class_to_stair.get(q.meet(p1, p2)):
                 morphism_ok = False
                 problems.append(
                     f"meet mismatch at {prebool.format_proposition(p1)}, "
                     f"{prebool.format_proposition(p2)}"
                 )
-            sj = stair_join(class_to_stair[p1], class_to_stair[p2])
-            if sj != class_to_stair.get(q.join(p1, p2)):
+            if s1 | s2 != class_to_stair.get(q.join(p1, p2)):
                 morphism_ok = False
                 problems.append(
                     f"join mismatch at {prebool.format_proposition(p1)}, "

@@ -32,9 +32,14 @@ def atoms(n: int) -> list[Atom]:
 
 @lru_cache(maxsize=None)
 def _up_sets(n: int) -> tuple[int, ...]:
-    # up[c] has bit S set for every atom set S containing clause c.
-    subsets = range(1 << n)
-    return tuple(sum(1 << s for s in subsets if s & c == c) for c in subsets)
+    # up[c] has bit S set for every atom set S containing clause c.  Atom k
+    # maps bit S to bit S + 2^k = S | {k}: a clause without k keeps its sets
+    # and gains their copies, a clause with k has only the copies.
+    up = [1]
+    for k in range(n):
+        h = 1 << k
+        up = [u | u << h for u in up] + [u << h for u in up]
+    return tuple(up)
 
 
 @lru_cache(maxsize=None)

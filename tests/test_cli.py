@@ -60,12 +60,11 @@ def test_usage_error(capsys):
 
 
 def test_ordered_report(capsys):
-    code, out, _ = run(capsys, "ordered", "-n", "3")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert "classes: 13" in lines
-    assert "staircases: 13" in lines
-    assert lines[-1] == "PASS"
+    for n, count in ((3, 13), (4, 41)):
+        code, out, _ = run(capsys, "ordered", "-n", str(n))
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines == [f"classes: {count}", f"staircases: {count}", "PASS"]
 
 
 def test_fuse_demo_writes_surfaces(tmp_path, capsys):

@@ -7,6 +7,8 @@ from dsmfuse import belief as bf
 from dsmfuse import ordered as od
 from dsmfuse import prebool as pb
 
+import staircase_oracle as so
+
 
 # independent pair-set oracle: build everything from explicit pairs
 def point_pairs(x, n):
@@ -134,14 +136,22 @@ def test_verify_isomorphism_guard():
 
 
 def test_staircase_validation():
-    with pytest.raises(ValueError):
-        od.Staircase(2, (None, None))
-    with pytest.raises(ValueError):
-        od.Staircase(2, (0, None))
-    with pytest.raises(ValueError):
-        od.Staircase(3, (1, 0, 0))  # decreasing
-    with pytest.raises(ValueError):
-        od.Staircase(2, (1, 1))  # t(0) > 0
+    with pytest.raises(ValueError, match="non-empty"):
+        od.Staircase(2, 0)
+    # column 1 left undefined after column 0 is defined: (0, 1) missing
+    with pytest.raises(ValueError, match="up-closed"):
+        od.Staircase(2, so.table_of([(0, 0)]))
+    # decreasing thresholds (0, 1, 0): (1, 2) missing above (1, 1)
+    with pytest.raises(ValueError, match="up-closed"):
+        od.Staircase(3, so.table_of([(0, 0), (0, 1), (1, 1), (0, 2)]))
+    # out-of-range thresholds: bits of the empty set, of the non-interval
+    # {a0, a2}, of an atom beyond n, and a negative table
+    for n, table in ((2, 1), (3, 1 << 0b101), (2, 1 << 0b100), (2, -1)):
+        with pytest.raises(ValueError, match="outside the triangle"):
+            od.Staircase(n, table | so.table_of([(0, n - 1)]))
+    assert od.Staircase(3, so.table_of([(0, 1), (0, 2), (1, 2)])).thresholds == (
+        None, 0, 1,
+    )
 
 
 def test_staircase_dump_and_render():

@@ -90,6 +90,14 @@ def test_enumerate_guard():
     assert len(pb.enumerate_hyperpower(2, max_atoms=2)) == 6
 
 
+@pytest.mark.parametrize("n", range(9))
+def test_up_sets_match_definition(n):
+    subsets = range(1 << n)
+    assert pb._up_sets(n) == tuple(
+        sum(1 << s for s in subsets if s & c == c) for c in subsets
+    )
+
+
 @settings(max_examples=100)
 @given(props(4), props(4), props(4))
 def test_lattice_axioms(p, q, r):
