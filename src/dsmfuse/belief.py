@@ -7,6 +7,7 @@ and preserve the value type, so rational inputs give exact results.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -47,6 +48,9 @@ class FiniteBba:
         total = 0
         for p, v in self.mass.items():
             rep = self.algebra.class_of(p)
+            # NaN fails every comparison, so it would pass the checks below
+            if v != v or abs(v) == math.inf:
+                raise BbaError(f"non-finite mass {v} at {format_proposition(rep)}")
             if v < 0:
                 raise BbaError(f"negative mass at {format_proposition(rep)}")
             if v == 0:

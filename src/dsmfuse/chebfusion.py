@@ -6,12 +6,15 @@ exactness, y > x imprecision.  Densities are stored as coefficient matrices
 c[k][l] of sum c[k][l] T_k(x) T_l(y), fitted by a fast cosine transform on
 the Chebyshev-Lobatto tensor grid.  Belief is a corner cumulative integral
 of the density, and conjunctive fusion is a four-term combination of partial
-cumulatives.
+cumulatives.  Fusion multiplies its factors pointwise on a Lobatto grid about
+3/2 times the input degree, the smallest fast one on which the products'
+high modes cannot alias into the kept ones (Orszag's 3/2 rule).
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -20,6 +23,12 @@ from numpy.polynomial import chebyshev as C
 from scipy.fft import dct
 
 NORMALIZATION_TOL = 1e-6
+
+# Threads per 2-D transform, one per usable core.  Each thread takes whole
+# 1-D transforms, so the result does not depend on the count.
+DCT_WORKERS = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
 
 
 @dataclass(frozen=True)
@@ -77,32 +86,36 @@ def lobatto_nodes(n: int) -> np.ndarray:
     return np.cos(np.pi * np.arange(n + 1) / n)
 
 
-def _values_to_coeffs(values: np.ndarray) -> np.ndarray:
+def _values_to_coeffs(values: np.ndarray, keep: int) -> np.ndarray:
     # DCT-I along each axis turns Lobatto samples into Chebyshev coefficients;
-    # the first and last coefficient of each axis carry a 1/2 factor.
+    # the first and last coefficient of each axis carry a 1/2 factor.  Only
+    # the first keep+1 rows and columns are transformed further and returned.
     n = values.shape[0] - 1
-    c = dct(dct(values, type=1, axis=0), type=1, axis=1) / (n * n)
+    c = dct(values, type=1, axis=0, workers=DCT_WORKERS)[: keep + 1]
+    c = dct(c, type=1, axis=1, workers=DCT_WORKERS)[:, : keep + 1] / (n * n)
     c[0, :] /= 2
-    c[n, :] /= 2
+    c[n:, :] /= 2  # row n exists only when keep == n
     c[:, 0] /= 2
-    c[:, n] /= 2
+    c[:, n:] /= 2
     return c
 
 
-def _coeffs_to_values(coeffs: np.ndarray) -> np.ndarray:
-    n = coeffs.shape[0] - 1
+def _coeffs_to_values(coeffs: np.ndarray, n: int) -> np.ndarray:
+    # Values on the (n+1)^2 Lobatto grid of a series with at most n+1
+    # coefficients per axis.  The missing ones are zero: the axis-0 transform
+    # runs on the given columns only, and each transform pads its input.
     c = coeffs.copy()
     c[1:n, :] /= 2
     c[:, 1:n] /= 2
-    return dct(dct(c, type=1, axis=0), type=1, axis=1)
+    c = dct(c, type=1, n=n + 1, axis=0, workers=DCT_WORKERS)
+    return dct(c, type=1, n=n + 1, axis=1, workers=DCT_WORKERS)
 
 
 def fit(f: Callable[[np.ndarray, np.ndarray], np.ndarray], degree: int) -> ChebDensity:
     """Interpolate f on the (degree+1)^2 Chebyshev-Lobatto tensor grid.
 
-    ``degree`` must be a power of two (the transform length stays fast and
-    doubling for products is exact).  The fitted series reproduces f at the
-    grid nodes to round-off.
+    ``degree`` must be a power of two, so the transform length stays fast.
+    The fitted series reproduces f at the grid nodes to round-off.
     """
     if degree < 2 or degree & (degree - 1):
         raise ValueError("degree must be a power of two >= 2")
@@ -112,7 +125,7 @@ def fit(f: Callable[[np.ndarray, np.ndarray], np.ndarray], degree: int) -> ChebD
         values = np.broadcast_to(values, (degree + 1, degree + 1)).astype(float)
     if not np.all(np.isfinite(values)):
         raise ValueError("sampled values must be finite")
-    return ChebDensity(_values_to_coeffs(values))
+    return ChebDensity(_values_to_coeffs(values, degree))
 
 
 def evaluate(d: ChebDensity, x, y):
@@ -155,27 +168,32 @@ def normalize(d: ChebDensity) -> ChebDensity:
 
 
 def _axis_cumulative(coeffs: np.ndarray, axis: int, full_at: int) -> np.ndarray:
-    """Running integral along one axis.
+    """Running integral of a 2-D coefficient array along one axis.
 
     ``full_at=+1`` gives the integral from -1 up to the coordinate (vanishes
     at -1, complete at +1); ``full_at=-1`` integrates from the coordinate up
     to +1.  The antiderivative follows the recurrence
-    b_k = (a_{k-1} - a_{k+1}) / (2k), with the constant term fixed so the
+    b_k = (c_{k-1} a_{k-1} - a_{k+1}) / (2k), with c_0 = 2 and c_k = 1
+    otherwise; its constant term b_0 starts at 0 and is then fixed so the
     result vanishes at the start point.
     """
     if full_at not in (-1, 1):
         raise ValueError("full_at must be -1 or +1")
-    anti = C.chebint(coeffs, axis=axis)
-    moved = np.moveaxis(anti, axis, 0)
-    k = np.arange(moved.shape[0])
+    a = np.moveaxis(coeffs, axis, 0)
+    m = a.shape[0]
+    anti = np.zeros((m + 1, a.shape[1]))
+    anti[1:] = a
+    anti[1] += a[0]
+    anti[1 : m - 1] -= a[2:]
+    anti[1:] /= 2.0 * np.arange(1, m + 1)[:, None]
     if full_at == 1:
-        # subtract value at -1: sum_k F_k (-1)^k
-        moved[0] -= ((-1.0) ** k) @ moved
+        # subtract the value at -1, sum_k b_k (-1)^k
+        anti[0] = -((-1.0) ** np.arange(m + 1)) @ anti
     else:
-        # integral from x to +1 is F(1) - F(x)
-        moved *= -1
-        moved[0] += -np.ones_like(k, dtype=float) @ moved  # add F(1) = sum F_k
-    return np.moveaxis(moved, 0, axis)
+        # integral from x to +1 is F(1) - F(x), with F(1) = sum_k b_k
+        anti *= -1
+        anti[0] = -anti.sum(axis=0)
+    return np.moveaxis(anti, 0, axis)
 
 
 def cumulative(d: ChebDensity, corner: tuple[int, int]) -> ChebDensity:
@@ -230,30 +248,38 @@ def fuse(m1: ChebDensity, m2: ChebDensity) -> ChebDensity:
     because the loose endpoint of one operand only ranges over a product
     region.  Ties on the boundary have measure zero.
 
-    Products are formed pointwise on a doubled Lobatto grid and transformed
-    back, then truncated to the common input degree.
+    Each factor has degree <= n+1 per axis, so each product has degree
+    <= 2n+1; on an (M+1)^2 Lobatto grid the DCT-I folds a mode k > M onto
+    2M - k, which lies above n whenever 2M > 3n+1, so products sampled on
+    that grid (Orszag's 3/2 rule) and truncated to degree n are exact.
     """
     if m1.degree != m2.degree:
         raise ValueError(f"degree mismatch: {m1.degree} vs {m2.degree}")
     _require_normalized(m1)
     _require_normalized(m2)
     n = m1.degree
-    big = 2 * n
-
-    def padded_values(coeffs: np.ndarray) -> np.ndarray:
-        padded = np.zeros((big + 1, big + 1))
-        padded[: coeffs.shape[0], : coeffs.shape[1]] = coeffs
-        return _coeffs_to_values(padded)
-
-    total = np.zeros((big + 1, big + 1))
+    size = _alias_free_size(n)
+    total = np.zeros((size + 1, size + 1))
     for a, b in ((m1, m2), (m2, m1)):
         pa = _axis_cumulative(a.coeffs, axis=0, full_at=1)      # P_a
         qb = _axis_cumulative(b.coeffs, axis=1, full_at=-1)     # Q_b
         fb = _axis_cumulative(qb, axis=0, full_at=1)            # F_b
-        total += padded_values(a.coeffs) * padded_values(fb)
-        total += padded_values(pa) * padded_values(qb)
-    coeffs = _values_to_coeffs(total)
-    return ChebDensity(coeffs[: n + 1, : n + 1].copy())
+        total += _coeffs_to_values(a.coeffs, size) * _coeffs_to_values(fb, size)
+        total += _coeffs_to_values(pa, size) * _coeffs_to_values(qb, size)
+    return ChebDensity(_values_to_coeffs(total, n))
+
+
+def _alias_free_size(n: int) -> int:
+    """Smallest M with 2M > 3n+1 and 2M 5-smooth, a fast DCT-I length."""
+    m = (3 * n + 3) // 2
+    while True:
+        r = 2 * m
+        for p in (2, 3, 5):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return m
+        m += 1
 
 
 # --- demo densities --------------------------------------------------------
@@ -289,7 +315,10 @@ def save_coeffs(d: ChebDensity, path) -> None:
 
 
 def load_coeffs(path) -> ChebDensity:
-    """Read a :func:`save_coeffs` file, stopping at the first malformed row."""
+    """Read a :func:`save_coeffs` file, stopping at the first malformed row.
+
+    Malformed text, including bytes that do not decode, raises ValueError.
+    """
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 2 or header[0] != "cheb2d" or not header[1].isdecimal():
@@ -328,7 +357,7 @@ def save_grid(d: ChebDensity, path, g: int = 64) -> None:
 
 
 def load_grid(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a grid file back into (axis, values)."""
+    """Read a grid file back into (axis, values); malformed text raises ValueError."""
     xs: list[float] = []
     blocks: list[list[float]] = []
     current: list[float] = []
@@ -340,10 +369,10 @@ def load_grid(path) -> tuple[np.ndarray, np.ndarray]:
                     blocks.append(current)
                     current = []
                 continue
-            x, _y, v = line.split()
+            x, _y, v = (float(t) for t in line.split())
             if not current:
-                xs.append(float(x))
-            current.append(float(v))
+                xs.append(x)
+            current.append(v)
     if current:
         blocks.append(current)
     return np.array(xs), np.array(blocks)

@@ -30,8 +30,14 @@ def atoms(n: int) -> list[Atom]:
     return [Atom(i, f"a{i}") for i in range(n)]
 
 
+def _require_atom_count(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"atom count {n} is negative")
+
+
 @lru_cache(maxsize=None)
 def _up_sets(n: int) -> tuple[int, ...]:
+    _require_atom_count(n)
     # up[c] has bit S set for every atom set S containing clause c.  Atom k
     # maps bit S to bit S + 2^k = S | {k}: a clause without k keeps its sets
     # and gains their copies, a clause with k has only the copies.
@@ -94,6 +100,7 @@ def make_prop(n: int, masks: Iterable[int]) -> Proposition:
 
 
 def bottom(n: int) -> Proposition:
+    _require_atom_count(n)
     return Proposition(n, 0)
 
 

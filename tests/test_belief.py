@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -45,6 +46,15 @@ def test_bba_validation(free2):
     with pytest.raises(bf.BbaError):
         bf.FiniteBba(free2, {pb.top(2): 1})
     bf.FiniteBba(free2, {pb.top(2): 1}, exhaustive=False)  # allowed non-exhaustive
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_bba_rejects_non_finite_mass(free2, value):
+    a, b = pb.atom_prop(2, 0), pb.atom_prop(2, 1)
+    with pytest.raises(bf.BbaError, match="non-finite"):
+        bf.FiniteBba(free2, {a: value})
+    with pytest.raises(bf.BbaError, match="non-finite"):
+        bf.FiniteBba(free2, {a: Fraction(1, 2), b: value})
 
 
 def test_bel_of_top_is_one(free2):

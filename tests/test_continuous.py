@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dsmfuse import chebfusion as cf
 
@@ -289,3 +291,37 @@ def test_grid_file_roundtrip(tmp_path):
     direct_axis, direct = cf.grid_samples(d, 33)
     assert np.allclose(axis, direct_axis)
     assert np.allclose(values, direct, atol=1e-11)
+
+
+def test_grid_file_rejects_malformed_rows(tmp_path):
+    path = tmp_path / "bad.grid"
+    for text in ("0 0 1\n0 y 2\n", "0 0 1\nx 0 2\n", "0 0 1\n0 0\n", "0 0 1 2\n",
+                 "0 0 1\n0 0 2\n\n1 0 3\n"):
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            cf.load_grid(path)
+
+
+# Tokens that reach past the header check: small declared sizes (so a file
+# never declares more rows than it could hold), numbers, non-finite and
+# non-ASCII numerals, and the separators str.split and file iteration treat
+# differently.
+READER_TOKENS = st.sampled_from(
+    ["cheb2d", "cheb2d 0", "cheb2d 1", "cheb2d 2", "0", "1", "-2.5", "1e400", "nan",
+     "inf", "x", "\u0663", "1_0", " ", "\t", "\n", "\n\n", "\r", "\x0c", "\x1c",
+     "\x85", "\u2028", "\x00"]
+)
+READER_TEXT = st.one_of(st.text(max_size=200), st.lists(READER_TOKENS, max_size=40).map("".join))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.one_of(READER_TEXT.map(lambda t: t.encode("utf-8")), st.binary(max_size=200)))
+def test_readers_fuzz(tmp_path, data):
+    # Any file ends in a value or a ValueError; UnicodeDecodeError is one.
+    path = tmp_path / "fuzz"
+    path.write_bytes(data)
+    for reader in (cf.load_coeffs, cf.load_grid):
+        try:
+            reader(path)
+        except ValueError:
+            pass

@@ -1,0 +1,71 @@
+"""3/2-rule fusion and the recurrence antiderivative against the code they replaced."""
+
+import numpy as np
+import pytest
+
+from dsmfuse import chebfusion as cf
+
+import fusion_oracle
+
+
+def random_density(rng, n):
+    """Full-spectrum coefficients in [-1, 1], with c[0, 0] set so the integral is 1."""
+    c = rng.uniform(-1.0, 1.0, (n + 1, n + 1))
+    c[0, 0] = 0.0
+    w = cf._cheb_weights(n)
+    c[0, 0] = (1.0 - w @ c @ w) / 4.0  # the integral of T_0(x) T_0(y) is 4
+    return cf.ChebDensity(c)
+
+
+def test_fuse_matches_doubled_grid_oracle():
+    # Every mode of every product reaches the grid, so an aliased grid would
+    # fold O(max|c|) errors into the kept coefficients.
+    rng = np.random.default_rng(6)
+    for n in range(2, 257, 2):
+        m1, m2 = random_density(rng, n), random_density(rng, n)
+        got = cf.fuse(m1, m2).coeffs
+        want = fusion_oracle.fuse(m1, m2).coeffs
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= 1e-14 * scale, f"degree {n}"
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_fuse_matches_oracle_on_zero_padded_inputs(n):
+    # Padding the inputs with zero coefficients does not change the exact
+    # product, so fusing at degree n+1 and truncating to n gives the degree-n
+    # fusion.  At degree 1 this is the only alias-free reference: the doubled
+    # grid of 3 points folds mode 3 onto mode 1.
+    rng = np.random.default_rng(n)
+    m1, m2 = random_density(rng, n), random_density(rng, n)
+    padded = [cf.ChebDensity(np.pad(m.coeffs, (0, 1))) for m in (m1, m2)]
+    want = fusion_oracle.fuse(*padded).coeffs[: n + 1, : n + 1]
+    got = cf.fuse(m1, m2).coeffs
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+# (65, 66) is the shape of Q_b at degree 64, one of fuse's non-square factors
+@pytest.mark.parametrize("shape", [(9, 9), (9, 10), (10, 9), (65, 66), (2, 5), (1, 3)])
+@pytest.mark.parametrize("full_at", [-1, 1])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_axis_cumulative_matches_chebint_oracle(axis, full_at, shape):
+    rng = np.random.default_rng(sum(shape) + 10 * axis + full_at)
+    c = rng.standard_normal(shape)
+    got = cf._axis_cumulative(c, axis=axis, full_at=full_at)
+    want = fusion_oracle.axis_cumulative(c, axis=axis, full_at=full_at)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13
+
+
+def test_alias_free_size_is_the_smallest_fast_alias_free_grid():
+    assert cf._alias_free_size(512) == 800
+    for n in range(257):
+        m = cf._alias_free_size(n)
+        assert 2 * m > 3 * n + 1 and _five_smooth(2 * m)
+        assert not any(2 * k > 3 * n + 1 and _five_smooth(2 * k) for k in range(m))
+
+
+def _five_smooth(k):
+    for p in (2, 3, 5):
+        while k % p == 0:
+            k //= p
+    return k == 1

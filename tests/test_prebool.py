@@ -36,6 +36,15 @@ def test_make_prop_accepts_a_generator():
     assert pb.make_prop(2, (m for m in [1, 2])) == pb.join(a, b)
 
 
+def test_negative_atom_count_is_rejected():
+    for build in (pb.bottom, pb.top, lambda n: pb.varphi(n, [[]]), lambda n: pb.make_prop(n, [])):
+        with pytest.raises(ValueError, match="negative"):
+            build(-1)
+    with pytest.raises(ValueError):
+        pb.atom_prop(-1, 0)
+    assert pb.top(0) == pb.varphi(0, [[]]) and pb.bottom(0) == pb.make_prop(0, [])
+
+
 def test_meet_examples():
     a, b, c = (pb.atom_prop(3, i) for i in range(3))
     ab = pb.meet(a, b)
