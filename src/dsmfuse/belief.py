@@ -2,7 +2,9 @@
 
 Masses are stored sparsely on class representatives of a :class:`Quotient`.
 Values may be floats or :class:`fractions.Fraction`; all operations are pure
-and preserve the value type, so rational inputs give exact results.
+and preserve the value type, so rational inputs give exact results.  Belief
+and its inversion compare integer class keys (:meth:`Quotient.key`): phi lies
+below psi iff ``key(phi) & ~key(psi) == 0``.
 """
 
 from __future__ import annotations
@@ -69,29 +71,38 @@ class FiniteBba:
         return self.mass.get(self.algebra.class_of(p), 0)
 
 
+def _focal_keys(m: FiniteBba) -> list[tuple[int, object]]:
+    key = m.algebra.key
+    return [(key(p), v) for p, v in m.mass.items()]
+
+
+def _mass_below(focal: list[tuple[int, object]], K: int):
+    # Total mass of the keyed focal elements whose keys lie inside K.
+    return sum(v for k, v in focal if not k & ~K)
+
+
 def bel(m: FiniteBba, phi: Proposition):
     """Cumulative mass over every class below phi (phi included)."""
-    phi = m.algebra.class_of(phi)
-    return sum(v for p, v in m.mass.items() if m.algebra.leq(p, phi))
+    return _mass_below(_focal_keys(m), m.algebra.key(phi))
 
 
 def bel_table(m: FiniteBba) -> dict[Proposition, object]:
     """Belief of every representative of the algebra."""
-    return {rep: bel(m, rep) for rep in m.algebra.representatives}
+    focal, key = _focal_keys(m), m.algebra.key
+    return {rep: _mass_below(focal, key(rep)) for rep in m.algebra.representatives}
 
 
 def bba_from_bel(
     algebra: Quotient,
     bel_values: Mapping[Proposition, object],
     exhaustive: bool = True,
-    tol: float = MASS_TOL,
 ) -> FiniteBba:
     """Invert a belief table back into its mass function.
 
-    Sweeps the classes in :meth:`Quotient.rank` order, a linear extension of
-    the order, peeling off the mass already assigned strictly below each
-    class.  A recovered mass below ``-tol`` signals an inconsistent belief
-    table.
+    Sweeps the classes in ascending :meth:`Quotient.key` order, a linear
+    extension of the order, peeling off the mass already recovered strictly
+    below each class.  A recovered mass below ``-MASS_TOL`` signals an
+    inconsistent belief table.
     """
     values = {algebra.class_of(p): v for p, v in bel_values.items()}
     missing = [p for p in algebra.representatives if p not in values]
@@ -101,15 +112,19 @@ def bba_from_bel(
             f"(and {len(missing) - 1} more)" if len(missing) > 1
             else f"belief table misses {format_proposition(missing[0])}"
         )
+    keys = {rep: algebra.key(rep) for rep in algebra.representatives}
     mass: dict[Proposition, object] = {}
-    for phi in sorted(algebra.representatives, key=algebra.rank):
-        mv = values[phi] - sum(
-            v for p, v in mass.items() if p != phi and algebra.leq(p, phi)
-        )
-        if mv < -tol:
+    # Masses recovered so far, by key.  Their classes were swept before phi,
+    # so each one that lies below phi lies strictly below it.
+    below: list[tuple[int, object]] = []
+    for phi in sorted(keys, key=keys.__getitem__):
+        K = keys[phi]
+        mv = values[phi] - _mass_below(below, K)
+        if mv < -MASS_TOL:
             raise InconsistentBelief(phi, mv)
         if mv > 0:
             mass[phi] = mv
+            below.append((K, mv))
     return FiniteBba(algebra, mass, exhaustive=exhaustive)
 
 

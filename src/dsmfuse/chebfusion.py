@@ -129,18 +129,20 @@ def fit(f: Callable[[np.ndarray, np.ndarray], np.ndarray], degree: int) -> ChebD
 
 
 def evaluate(d: ChebDensity, x, y):
-    """Series value at (x, y) in [-1, 1]^2 via the Clenshaw recurrence."""
+    """Series value at (x, y) in [-1, 1]^2 from Chebyshev Vandermonde rows."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if np.any(np.abs(x) > 1) or np.any(np.abs(y) > 1):
         raise ValueError("evaluation point outside [-1, 1]^2")
     if x.ndim == 2 and y.ndim == 2 and x.shape[1] == 1 and y.shape[0] == 1:
-        # outer-product grid: two Vandermonde products beat per-point Clenshaw
+        # outer-product grid: two matrix products share each row and column
         vx = C.chebvander(x[:, 0], d.degree)
         vy = C.chebvander(y[0, :], d.degree)
         return vx @ d.coeffs @ vy.T
+    # scattered points: row-wise dot products of vander(x) @ C with vander(y)
     x, y = np.broadcast_arrays(x, y)
-    out = C.chebval2d(x, y, d.coeffs)
+    vx, vy = (C.chebvander(v.ravel(), d.degree) for v in (x, y))
+    out = np.einsum("ik,ik->i", vx @ d.coeffs, vy).reshape(x.shape)
     return float(out) if out.ndim == 0 else out
 
 

@@ -51,14 +51,9 @@ class Staircase:
             raise ValueError("staircase must be non-empty")
         if t & ~triangle:
             raise ValueError("staircase table has a bit outside the triangle")
-        # Shifting the sets that lack atom i by 2^i adds i to each, as in
-        # Proposition.clauses; the intervals among the results are the
-        # one-step extensions, through which every larger interval is reached.
-        up = prebool._up_sets(self.n)
-        grown = 0
-        for i in range(self.n):
-            grown |= (t & ~up[1 << i]) << (1 << i)
-        if grown & triangle & ~t:
+        # The intervals one atom larger than a member are its one-step
+        # extensions, through which every larger interval is reached.
+        if prebool.grow(self.n, t) & triangle & ~t:
             raise ValueError("staircase must be up-closed")
 
     def pairs(self) -> frozenset[tuple[int, int]]:
@@ -125,19 +120,13 @@ def smile(p: Proposition) -> Staircase:
 def enumerate_staircases(n: int) -> list[Staircase]:
     """All staircases over n atoms, in table order.
 
-    Independent of :func:`smile` and of the quotient: every staircase is a
-    union of the principal ones ``up[{i..j}] & triangle``, so closing the
-    empty table under ``t | up[{i..j}] & triangle`` reaches all of them, as
-    :func:`prebool.enumerate_hyperpower` does for up-sets.  The count is the
-    Catalan number C_{n+1} minus one: 1, 4, 13, 41, 131 for n = 1..5.
+    Independent of :func:`smile` and of the quotient: the staircases are the
+    non-empty :func:`prebool.upsets` kept to the interval bits, since every
+    staircase is a union of the principal ones ``up[{i..j}] & triangle``.
+    The count is the Catalan number C_{n+1} minus one: 1, 4, 13, 41, 131 for
+    n = 1..5.
     """
-    up, triangle = prebool._up_sets(n), _triangle(n)
-    tables = {0}
-    for j in range(n):
-        for i in range(j + 1):
-            u = up[_interval(i, j)] & triangle
-            tables |= {t | u for t in tables}
-    return [Staircase(n, t) for t in sorted(tables) if t]
+    return [Staircase(n, t) for t in prebool.upsets(n, _triangle(n)) if t]
 
 
 @dataclass
@@ -166,8 +155,9 @@ def verify_isomorphism(
     Builds the quotient of the hyperpower set by the order constraints,
     maps every non-trivial element through :func:`smile`, and checks that
     equality of classes coincides with equality of staircase tables, that
-    the meet/join tables transport to ``&``/``|``, and that the class count
-    matches an independent staircase enumeration.
+    the meet and join of class keys, ``&`` and ``|``, transport to the
+    staircases' ``&`` and ``|``, and that the class count matches an
+    independent staircase enumeration.
     """
     if n > max_atoms:
         raise ValueError(f"n={n} exceeds the verification guard ({max_atoms})")
@@ -175,22 +165,22 @@ def verify_isomorphism(
     q = Quotient(universe, order_constraints(n))
     problems: list[str] = []
 
+    # Classes are held by key, whose meet and join are ``&`` and ``|``.
     # BOTTOM's interval part is empty, and a meet of two classes may land there.
-    class_to_stair: dict[Proposition, int] = {q.bottom: 0}
-    stair_to_class: dict[int, Proposition] = {}
+    key_to_stair: dict[int, int] = {q.key(q.bottom): 0}
+    stair_to_key: dict[int, int] = {}
     bijection_ok = True
     for p in universe:
         if p.is_bottom or p.is_top:
             continue
-        rep = q.class_of(p)
+        k = q.key(p)
         s = smile(p).table
-        if class_to_stair.setdefault(rep, s) != s:
+        if key_to_stair.setdefault(k, s) != s:
             bijection_ok = False
             problems.append(
                 f"class of {prebool.format_proposition(p)} maps to two staircases"
             )
-        prev = stair_to_class.setdefault(s, rep)
-        if prev != rep:
+        if stair_to_key.setdefault(s, k) != k:
             bijection_ok = False
             problems.append(
                 f"staircase of {prebool.format_proposition(p)} hits two classes"
@@ -198,16 +188,17 @@ def verify_isomorphism(
 
     morphism_ok = True
     reps = [r for r in q.representatives if r != q.bottom and r != q.top]
-    for p1 in reps:
-        for p2 in reps:
-            s1, s2 = class_to_stair[p1], class_to_stair[p2]
-            if s1 & s2 != class_to_stair.get(q.meet(p1, p2)):
+    keyed = [(r, q.key(r)) for r in reps]
+    for p1, k1 in keyed:
+        for p2, k2 in keyed:
+            s1, s2 = key_to_stair[k1], key_to_stair[k2]
+            if s1 & s2 != key_to_stair.get(k1 & k2):
                 morphism_ok = False
                 problems.append(
                     f"meet mismatch at {prebool.format_proposition(p1)}, "
                     f"{prebool.format_proposition(p2)}"
                 )
-            if s1 | s2 != class_to_stair.get(q.join(p1, p2)):
+            if s1 | s2 != key_to_stair.get(k1 | k2):
                 morphism_ok = False
                 problems.append(
                     f"join mismatch at {prebool.format_proposition(p1)}, "

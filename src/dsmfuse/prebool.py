@@ -17,19 +17,6 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 
-@dataclass(frozen=True)
-class Atom:
-    """One atomic proposition: a contiguous index and a display label."""
-
-    index: int
-    label: str
-
-
-def atoms(n: int) -> list[Atom]:
-    """The standard universe a0..a{n-1}."""
-    return [Atom(i, f"a{i}") for i in range(n)]
-
-
 def _require_atom_count(n: int) -> None:
     if n < 0:
         raise ValueError(f"atom count {n} is negative")
@@ -46,6 +33,36 @@ def _up_sets(n: int) -> tuple[int, ...]:
         h = 1 << k
         up = [u | u << h for u in up] + [u << h for u in up]
     return tuple(up)
+
+
+def grow(n: int, table: int) -> int:
+    """The atom sets one atom larger than a set in ``table``.
+
+    Shifting the sets that lack atom i by 2^i adds i to each of them.
+    """
+    up = _up_sets(n)
+    grown = 0
+    for i in range(n):
+        grown |= (table & ~up[1 << i]) << (1 << i)
+    return grown
+
+
+def upsets(n: int, keep: int) -> list[int]:
+    """Every distinct ``T & keep`` over the up-set tables T, in integer order.
+
+    T is the union of ``up[c]`` over its sets c, and a set outside ``keep``
+    adds nothing that its kept supersets do not, so closing ``{0}`` under
+    ``t | up[c] & keep`` for each c in ``keep`` reaches all of them.  With
+    ``keep`` the kept bits of a congruence mask, these are the class keys of
+    the quotient of the free algebra (Birkhoff; Stanley, *EC1*, Thm 3.4.1).
+    """
+    up = _up_sets(n)
+    tables = {0}
+    for c in range(1 << n):
+        if keep >> c & 1:
+            u = up[c] & keep
+            tables |= {t | u for t in tables}
+    return sorted(tables)
 
 
 @lru_cache(maxsize=None)
@@ -78,13 +95,7 @@ class Proposition:
     @cached_property
     def clauses(self) -> frozenset[int]:
         """The clause antichain: the inclusion-minimal set bits of ``table``."""
-        up, t = _up_sets(self.n), self.table
-        # S is covered when S minus some atom i is already in the table:
-        # shifting the sets that lack i by 2^i adds i to each of them.
-        covered = 0
-        for i in range(self.n):
-            covered |= (t & ~up[1 << i]) << (1 << i)
-        minimal = t & ~covered
+        minimal = self.table & ~grow(self.n, self.table)
         return frozenset(c for c in range(1 << self.n) if minimal >> c & 1)
 
 
@@ -121,16 +132,16 @@ def varphi(n: int, sigma_family: Iterable[Iterable[int]]) -> Proposition:
     The empty family gives BOTTOM; a family containing the empty subset
     absorbs everything else and gives TOP.
     """
-    up = _up_sets(n)
-    table = 0
-    for sigma in sigma_family:
+
+    def conjunction(sigma: Iterable[int]) -> int:
         mask = 0
         for i in sigma:
             if not 0 <= i < n:
                 raise ValueError(f"atom index {i} out of range [0, {n})")
             mask |= 1 << i
-        table |= up[mask]
-    return Proposition(n, table)
+        return mask
+
+    return make_prop(n, map(conjunction, sigma_family))
 
 
 def _check_same_universe(p: Proposition, q: Proposition) -> None:
@@ -168,18 +179,15 @@ DEFAULT_ATOM_GUARD = 4
 def enumerate_hyperpower(n: int, max_atoms: int = DEFAULT_ATOM_GUARD) -> list[Proposition]:
     """All distinct propositions over n atoms, sorted by :func:`prop_key`.
 
-    Every up-set is a union of principal up-sets, so closing ``{BOTTOM}``
-    under ``t | up[c]`` for each clause c in turn reaches all of them.  The
-    count is the n-th Dedekind number (3, 6, 20, 168 for n = 1..4), which
-    grows too fast for n > 5; ``max_atoms`` guards against runaway sizes.
+    These are :func:`upsets` with every bit kept.  The count is the n-th
+    Dedekind number (3, 6, 20, 168 for n = 1..4), which grows too fast for
+    n > 5; ``max_atoms`` guards against runaway sizes.
     """
     if n < 1:
         raise ValueError("need at least one atom")
     if n > max_atoms:
         raise ValueError(f"n={n} exceeds the enumeration guard ({max_atoms})")
-    tables = {0}
-    for u in _up_sets(n):
-        tables |= {t | u for t in tables}
+    tables = upsets(n, _up_sets(n)[0])
     return sorted((Proposition(n, t) for t in tables), key=prop_key)
 
 
@@ -205,14 +213,16 @@ class Quotient:
     """A finite pre-Boolean algebra: a closed universe modulo a congruence.
 
     The congruence is the least equivalence containing the constraint pairs
-    and compatible with meet and join.  Each element is held as its truth
-    table ``T = p.table``.  Congruences of a finite distributive lattice are
-    Boolean on its join-irreducibles (Birkhoff; Grätzer, *Lattice Theory:
-    Foundation*, §II.3), so the least one holding the pairs is the single mask
-    ``M = OR of T(p) ^ T(q)`` over them: x and y are congruent iff
-    ``T(x) & ~M == T(y) & ~M``.  A closed universe smaller than the free
-    algebra is a sublattice of it, and distributive lattices have the
-    congruence extension property, so the mask still gives its least
+    and compatible with meet and join.  Congruences of a finite distributive
+    lattice are Boolean on its join-irreducibles (Birkhoff; Grätzer, *Lattice
+    Theory: Foundation*, §II.3), so the least one holding the pairs is the
+    single mask ``M = OR of T(p) ^ T(q)`` over them, T being the truth table.
+    An element's class is its key ``T(p) & ~M`` (:meth:`key`), and the keys
+    form a lattice of their own: meet, join and order are ``&``, ``|`` and
+    ``k1 & ~k2 == 0``.  A proper subset is a smaller integer, so ascending
+    key order is a linear extension of the order.  A closed universe smaller
+    than the free algebra is a sublattice of it, and distributive lattices
+    have the congruence extension property, so the mask still gives its least
     congruence.  Class representatives are the minimum members under
     :func:`prop_key`, so output is reproducible.
     """
@@ -224,12 +234,12 @@ class Quotient:
         n = self.universe[0].n
         if any(p.n != n for p in self.universe):
             raise ValueError("universe mixes atom universes")
-        # Maps each member to its table; the lookup also rejects foreign
-        # elements, whose tables may well collide with members' keys.
+        # Maps each member to its table; the lookup in key() also rejects
+        # foreign elements, whose tables may well collide with members' keys.
         self._table = {p: p.table for p in self.universe}
         if len(self._table) != len(self.universe):
             raise ValueError("universe contains duplicate propositions")
-        tables = list(self._table.values())
+        tables = [p.table for p in self.universe]
         outside = (
             {a & b for a in tables for b in tables}
             | {a | b for a in tables for b in tables}
@@ -240,17 +250,16 @@ class Quotient:
                 f"proposition {format_proposition(p)} is outside the universe"
             )
 
+        # With nothing masked yet, key() is the bare truth table.
+        self._keep = ~0
         mask = 0
         for p, q in gamma.pairs:
-            try:
-                mask |= self._table[p] ^ self._table[q]
-            except KeyError:
-                raise self._outside(p, q) from None
-        self._keep = keep = ~mask
+            mask |= self.key(p) ^ self.key(q)
+        self._keep = ~mask
 
         members: dict[int, list[Proposition]] = {}
         for p in self.universe:
-            members.setdefault(self._table[p] & keep, []).append(p)
+            members.setdefault(self.key(p), []).append(p)
         # Member lists follow prop_key order, so the first member of each
         # class is its representative, and classes are inserted in
         # representative order.
@@ -262,50 +271,27 @@ class Quotient:
         self.bottom = self.class_of(bottom(n))
         self.top = self.class_of(top(n))
 
-    # The operations index the tables inline: they are the hot path of belief
-    # fusion, and a helper call per operand costs more than the work.
+    def key(self, p: Proposition) -> int:
+        """The class key ``T(p) & ~M``: equal exactly on congruent members."""
+        try:
+            return self._table[p] & self._keep
+        except KeyError:
+            raise ValueError(
+                f"proposition {format_proposition(p)} is outside the universe"
+            ) from None
 
     def class_of(self, p: Proposition) -> Proposition:
         """Representative of p's congruence class."""
-        try:
-            return self._rep[self._table[p] & self._keep]
-        except KeyError:
-            raise self._outside(p) from None
+        return self._rep[self.key(p)]
 
     def meet(self, p: Proposition, q: Proposition) -> Proposition:
-        t = self._table
-        try:
-            return self._rep[t[p] & t[q] & self._keep]
-        except KeyError:
-            raise self._outside(p, q) from None
+        return self._rep[self.key(p) & self.key(q)]
 
     def join(self, p: Proposition, q: Proposition) -> Proposition:
-        t = self._table
-        try:
-            return self._rep[(t[p] | t[q]) & self._keep]
-        except KeyError:
-            raise self._outside(p, q) from None
+        return self._rep[self.key(p) | self.key(q)]
 
     def leq(self, p: Proposition, q: Proposition) -> bool:
-        t = self._table
-        try:
-            return not t[p] & ~t[q] & self._keep
-        except KeyError:
-            raise self._outside(p, q) from None
-
-    def rank(self, p: Proposition) -> int:
-        """``popcount(T(p) & ~M)``.  p < q makes p's class key a proper subset
-        of q's, so sorting by rank is a linear extension of the order."""
-        try:
-            return (self._table[p] & self._keep).bit_count()
-        except KeyError:
-            raise self._outside(p) from None
-
-    def _outside(self, *props: Proposition) -> ValueError:
-        foreign = next(p for p in props if p not in self._table)
-        return ValueError(
-            f"proposition {format_proposition(foreign)} is outside the universe"
-        )
+        return not self.key(p) & ~self.key(q)
 
 
 def quotient(universe: Sequence[Proposition], gamma: ConstraintSet) -> Quotient:

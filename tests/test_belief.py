@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsmfuse import belief as bf
 from dsmfuse import prebool as pb
@@ -183,3 +185,69 @@ def test_fuse_rejects_mixed_algebras(free2, example3_algebra):
     m2 = random_bba(example3_algebra, rng)
     with pytest.raises(bf.BbaError):
         bf.fuse(m1, m2)
+
+
+TOL = Fraction(bf.MASS_TOL)
+# Deviations of the total from 1: on, just inside and just outside the
+# tolerance, or anywhere within three times it, as a Fraction or a float.
+DEVIATIONS = st.one_of(
+    st.sampled_from([0, TOL / 2, TOL, TOL + Fraction(1, 10**30), 2 * TOL]).flatmap(
+        lambda d: st.sampled_from([d, -d])
+    ),
+    st.floats(-3 * bf.MASS_TOL, 3 * bf.MASS_TOL),
+)
+
+
+@st.composite
+def near_normalized(draw, algebra):
+    reps = [r for r in algebra.representatives if r not in (algebra.bottom, algebra.top)]
+    focal = draw(st.lists(st.sampled_from(reps), min_size=1, max_size=4, unique=True))
+    weights = [Fraction(draw(st.integers(1, 20))) for _ in focal]
+    masses = [w / sum(weights) for w in weights]
+    masses[-1] += draw(DEVIATIONS)
+    as_float = draw(st.lists(st.booleans(), min_size=len(focal), max_size=len(focal)))
+    return {p: float(v) if f else v for p, v, f in zip(focal, masses, as_float)}
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_bba_accepts_iff_total_within_tolerance(free2, data):
+    mass = data.draw(near_normalized(free2))
+    # FiniteBba sums in the masses' own arithmetic, float once a float enters.
+    total = sum(mass.values())
+    try:
+        bf.FiniteBba(free2, mass)
+        accepted = True
+    except bf.BbaError as exc:
+        assert "total mass" in str(exc)
+        accepted = False
+    assert accepted == (abs(total - 1) <= bf.MASS_TOL)
+    exact = abs(sum(map(Fraction, mass.values())) - 1)
+    if exact <= TOL / 2:
+        assert accepted
+    if exact >= 2 * TOL:
+        assert not accepted
+    if all(isinstance(v, Fraction) for v in mass.values()):
+        assert accepted == (exact <= TOL)
+
+
+@settings(max_examples=50)
+@given(st.data())
+def test_fraction_masses_stay_fractions(example3_algebra, data):
+    reps = [
+        r for r in example3_algebra.representatives
+        if r not in (example3_algebra.bottom, example3_algebra.top)
+    ]
+
+    def draw_bba():
+        focal = data.draw(st.lists(st.sampled_from(reps), min_size=1, unique=True))
+        weights = [Fraction(data.draw(st.integers(1, 20))) for _ in focal]
+        return bf.FiniteBba(
+            example3_algebra, {p: w / sum(weights) for p, w in zip(focal, weights)}
+        )
+
+    fused = bf.fuse(draw_bba(), draw_bba())
+    recovered = bf.bba_from_bel(example3_algebra, bf.bel_table(fused))
+    for m in (fused, recovered):
+        assert all(type(v) is Fraction for v in m.mass.values())
+    assert recovered.mass == fused.mass

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev as C
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -132,6 +133,23 @@ def test_evaluate_examples():
     assert cf.evaluate(d, 0.0, 0.0) == pytest.approx(math.exp(-1), abs=1e-10)
     with pytest.raises(ValueError):
         cf.evaluate(d, 1.5, 0.0)
+
+
+@pytest.mark.parametrize("degree", [64, 128])
+def test_evaluate_scattered_matches_clenshaw_oracle(degree):
+    # numpy's chebval2d (Clenshaw per point) is the former scattered-point path.
+    rng = np.random.default_rng(degree)
+    m1, m2 = (cf.normalize(cf.fit(f, degree)) for f in (MM1, MM2))
+    x, y = rng.uniform(-1, 1, (2, 3000))
+    for d in (m1, m2, cf.fuse(m1, m2)):
+        bound = 1e-14 * np.abs(d.coeffs).max()
+        oracle = C.chebval2d(x, y, d.coeffs)
+        assert np.abs(cf.evaluate(d, x, y) - oracle).max() <= bound
+        square = cf.evaluate(d, x[:100].reshape(10, 10), y[:100].reshape(10, 10))
+        assert square.shape == (10, 10)
+        assert np.abs(square.ravel() - oracle[:100]).max() <= bound
+        scalar = cf.evaluate(d, x[0], y[0])
+        assert isinstance(scalar, float) and abs(scalar - oracle[0]) <= bound
 
 
 def test_integral_basics():

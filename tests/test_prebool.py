@@ -1,9 +1,13 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsmfuse import ordered as od
 from dsmfuse import prebool as pb
+
+from test_quotient_oracle import CASES
 
 
 def props(n, max_clauses=4):
@@ -252,16 +256,41 @@ def test_parse_rejects_unknown_atom():
 
 
 @pytest.mark.parametrize("constrained", [False, True])
-def test_rank_is_a_linear_extension(constrained):
+def test_key_is_a_linear_extension(constrained):
     universe = pb.enumerate_hyperpower(4)
     gamma = od.order_constraints(4) if constrained else pb.ConstraintSet(())
     q = pb.quotient(universe, gamma)
     for p in q.representatives:
         for r in q.representatives:
             if p != r and q.leq(p, r):
-                assert q.rank(p) < q.rank(r)
+                assert q.key(p) < q.key(r)
     with pytest.raises(ValueError, match="outside the universe"):
-        q.rank(pb.atom_prop(3, 0))
+        q.key(pb.atom_prop(3, 0))
+
+
+@pytest.mark.parametrize("n, gamma", CASES.values(), ids=CASES.keys())
+def test_upsets_are_the_class_keys(n, gamma):
+    # The closure enumerator lists the quotient's classes without building it.
+    q = pb.quotient(pb.enumerate_hyperpower(n), gamma)
+    mask = 0
+    for p, r in gamma.pairs:
+        mask |= p.table ^ r.table
+    keep = pb.top(n).table & ~mask
+    assert sorted(q.key(r) for r in q.representatives) == pb.upsets(n, keep)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_grow_adds_one_atom(n):
+    rng = random.Random(n)
+    for _ in range(20):
+        table = rng.getrandbits(1 << n)
+        grown = {
+            s | 1 << i
+            for s in range(1 << n) if table >> s & 1
+            for i in range(n) if not s >> i & 1
+        }
+        expected = sum(1 << s for s in grown)
+        assert pb.grow(n, table) == expected
 
 
 GRAMMAR_ALPHABET = st.sampled_from(
