@@ -13,7 +13,8 @@ set bits, so for instance ``a | (a & b)`` reads back as ``a``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
+from operator import and_
 from typing import Iterable, Sequence
 
 
@@ -47,22 +48,29 @@ def grow(n: int, table: int) -> int:
     return grown
 
 
+def unions(generators: Iterable[int]) -> set[int]:
+    """Every union of some of the ``generators`` tables, the empty union 0 too.
+
+    A family closed under union and intersection is the unions of its least
+    members (Birkhoff; Stanley, *EC1*, Thm 3.4.1).
+    """
+    tables = {0}
+    for u in generators:
+        tables |= {t | u for t in tables}
+    return tables
+
+
 def upsets(n: int, keep: int) -> list[int]:
     """Every distinct ``T & keep`` over the up-set tables T, in integer order.
 
     T is the union of ``up[c]`` over its sets c, and a set outside ``keep``
-    adds nothing that its kept supersets do not, so closing ``{0}`` under
-    ``t | up[c] & keep`` for each c in ``keep`` reaches all of them.  With
-    ``keep`` the kept bits of a congruence mask, these are the class keys of
-    the quotient of the free algebra (Birkhoff; Stanley, *EC1*, Thm 3.4.1).
+    adds nothing that its kept supersets do not, so the :func:`unions` of
+    ``up[c] & keep`` for each c in ``keep`` are all of them.  With ``keep``
+    the kept bits of a congruence mask, these are the class keys of the
+    quotient of the free algebra (Birkhoff; Stanley, *EC1*, Thm 3.4.1).
     """
     up = _up_sets(n)
-    tables = {0}
-    for c in range(1 << n):
-        if keep >> c & 1:
-            u = up[c] & keep
-            tables |= {t | u for t in tables}
-    return sorted(tables)
+    return sorted(unions(up[c] & keep for c in range(1 << n) if keep >> c & 1))
 
 
 @lru_cache(maxsize=None)
@@ -198,6 +206,14 @@ class ConstraintSet:
     pairs: tuple[tuple[Proposition, Proposition], ...]
 
 
+def congruence_mask(gamma: ConstraintSet) -> int:
+    """``OR of T(p) ^ T(q)`` over gamma: the bits its least congruence collapses."""
+    mask = 0
+    for p, q in gamma.pairs:
+        mask |= p.table ^ q.table
+    return mask
+
+
 def is_insulated(gamma: ConstraintSet) -> bool:
     """True iff no constraint mentions BOTTOM or TOP.
 
@@ -225,6 +241,18 @@ class Quotient:
     have the congruence extension property, so the mask still gives its least
     congruence.  Class representatives are the minimum members under
     :func:`prop_key`, so output is reproducible.
+
+    The universe must hold BOTTOM and TOP and be closed under meet and join.
+    With ``least[x]`` the meet of the members whose table holds atom set x
+    (TOP's table if none does), that holds exactly when the :func:`unions`
+    of ``least`` are the members' tables: a closed family is the unions of
+    its least members, and such unions are closed.  Those unions, built
+    from BOTTOM one generator at a time, stay among the members exactly when
+    BOTTOM, every ``least[x]`` and every ``t | least[x]`` are members, so
+    that is what is checked: O(|U|·2^n) work even for a universe far from
+    closed, whose closure can hold nearly all D(n) up-sets.  A rejection
+    names the smallest table of the closure missing from the universe; its
+    last union step puts it among the tables checked.
     """
 
     def __init__(self, universe: Sequence[Proposition], gamma: ConstraintSet) -> None:
@@ -239,23 +267,25 @@ class Quotient:
         self._table = {p: p.table for p in self.universe}
         if len(self._table) != len(self.universe):
             raise ValueError("universe contains duplicate propositions")
-        tables = [p.table for p in self.universe]
-        outside = (
-            {a & b for a in tables for b in tables}
-            | {a | b for a in tables for b in tables}
-        ) - set(tables)
+        tables = set(self._table.values())
+        full = top(n).table
+        least = {
+            reduce(and_, (t for t in tables if t >> x & 1), full)
+            for x in range(1 << n)
+        }
+        steps = tables | {0}
+        outside = (steps | {t | g for t in steps for g in least}) - tables
         if outside:
             p = Proposition(n, min(outside))
             raise ValueError(
                 f"proposition {format_proposition(p)} is outside the universe"
             )
 
-        # With nothing masked yet, key() is the bare truth table.
-        self._keep = ~0
-        mask = 0
-        for p, q in gamma.pairs:
-            mask |= self.key(p) ^ self.key(q)
-        self._keep = ~mask
+        self._keep = ~congruence_mask(gamma)
+        # key() rejects constraint elements from outside the universe.
+        for pair in gamma.pairs:
+            for p in pair:
+                self.key(p)
 
         members: dict[int, list[Proposition]] = {}
         for p in self.universe:

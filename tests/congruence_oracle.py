@@ -10,6 +10,10 @@ duality, so the tests hold the mask construction against it.
 :class:`ClosureQuotient` mirrors the public surface of ``Quotient``:
 ``universe``, ``classes``, ``representatives``, ``bottom``, ``top``,
 ``class_of``, ``meet``, ``join`` and ``leq``.
+
+:func:`is_closed` is how ``Quotient`` checked its universe before it moved
+to the union closure of least members: every pair's meet and join must be a
+member, and so must BOTTOM and TOP.
 """
 
 from functools import lru_cache
@@ -115,3 +119,11 @@ class ClosureQuotient:
 
     def leq(self, p, q):
         return self.meet(p, q) == self.class_of(p)
+
+
+def is_closed(universe):
+    """True iff the tables hold BOTTOM and TOP and every pair's ``&`` and ``|``."""
+    tables = {p.table for p in universe}
+    if not universe or {0, pb.top(universe[0].n).table} - tables:
+        return False
+    return all(a & b in tables and a | b in tables for a in tables for b in tables)

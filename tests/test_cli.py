@@ -5,6 +5,8 @@ import pytest
 
 from dsmfuse import chebfusion as cf
 from dsmfuse import cli
+from dsmfuse import ordered as od
+from dsmfuse import prebool as pb
 
 import demo_closed_form as dcf
 
@@ -65,6 +67,36 @@ def test_ordered_report(capsys):
         assert code == 0
         lines = out.strip().splitlines()
         assert lines == [f"classes: {count}", f"staircases: {count}", "PASS"]
+
+
+def test_ordered_report_at_n5(capsys):
+    code, out, _ = run(capsys, "ordered", "-n", "5", "--max-atoms", "5")
+    assert code == 0
+    assert out.splitlines() == ["classes: 131", "staircases: 131", "PASS"]
+
+
+def test_ordered_fail_path(monkeypatch, capsys):
+    # Without a0 & a1 & a2 = a0 & a2 the atom set {a0, a2} survives the
+    # congruence although it is no interval.
+    true_order = od.order_constraints
+
+    def without_012(n):
+        lost = (pb.varphi(n, [{0, 1, 2}]), pb.varphi(n, [{0, 2}]))
+        return pb.ConstraintSet(tuple(p for p in true_order(n).pairs if p != lost))
+
+    monkeypatch.setattr(od, "order_constraints", without_012)
+    code, out, _ = run(capsys, "ordered", "-n", "3")
+    lines = out.splitlines()
+    assert code == cli.EXIT_NUMERIC
+    assert lines[:2] == ["classes: 18", "staircases: 13"]
+    assert lines[2:-1] == ["counterexample: atom set {a0, a2} is kept by the order constraints"]
+    assert lines[-1] == "FAIL"
+
+
+def test_ordered_needs_an_atom(capsys):
+    for n in ("0", "-1"):
+        code, out, err = run(capsys, "ordered", "-n", n)
+        assert (code, out, err) == (cli.EXIT_NUMERIC, "", "error: need at least one atom\n")
 
 
 def test_fuse_demo_writes_surfaces(tmp_path, capsys):

@@ -135,6 +135,20 @@ def test_verify_isomorphism_guard():
         od.verify_isomorphism(5)
 
 
+def test_verify_isomorphism_builds_no_algebra(monkeypatch):
+    # The theorem is one identity on the order constraints' mask: no free
+    # algebra, quotient or smile image is needed, so n = 5 is cheap.
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify_isomorphism built an algebra")
+
+    monkeypatch.setattr(pb, "enumerate_hyperpower", refuse)
+    monkeypatch.setattr(pb, "Quotient", refuse)
+    monkeypatch.setattr(od, "smile", refuse)
+    report = od.verify_isomorphism(5, max_atoms=5)
+    assert report.ok, report.counterexamples
+    assert report.class_count == report.staircase_count == 131
+
+
 def test_staircase_validation():
     with pytest.raises(ValueError, match="non-empty"):
         od.Staircase(2, 0)

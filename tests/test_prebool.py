@@ -218,6 +218,15 @@ def test_quotient_rejects_malformed_universe():
         pb.quotient([], pb.ConstraintSet(()))
 
 
+def test_quotient_rejects_sparse_universe_without_closing_it():
+    # The union closure of these eight members at n = 6 holds nearly all
+    # 7.8M up-sets; the check must reject them without building it.
+    n = 6
+    universe = [pb.bottom(n), pb.top(n)] + [pb.atom_prop(n, i) for i in range(n)]
+    with pytest.raises(ValueError, match="a0 & a1 & a2 & a3 & a4 & a5 is outside"):
+        pb.quotient(universe, pb.ConstraintSet(()))
+
+
 def test_is_insulated(example3):
     _, gamma = example3
     assert pb.is_insulated(gamma)
@@ -277,6 +286,19 @@ def test_upsets_are_the_class_keys(n, gamma):
         mask |= p.table ^ r.table
     keep = pb.top(n).table & ~mask
     assert sorted(q.key(r) for r in q.representatives) == pb.upsets(n, keep)
+
+
+def test_free_algebra_at_n5():
+    q = pb.free_algebra(5, max_atoms=5)
+    assert len(q.universe) == len(q.classes) == 7581
+
+
+def test_order_quotient_at_n5():
+    gamma = od.order_constraints(5)
+    q = pb.quotient(pb.enumerate_hyperpower(5, max_atoms=5), gamma)
+    assert len(q.classes) == 133
+    keep = pb.top(5).table & ~pb.congruence_mask(gamma)
+    assert sorted(q.key(r) for r in q.representatives) == pb.upsets(5, keep)
 
 
 @pytest.mark.parametrize("n", range(6))

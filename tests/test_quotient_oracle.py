@@ -7,7 +7,7 @@ import pytest
 from dsmfuse import ordered as od
 from dsmfuse import prebool as pb
 
-from congruence_oracle import ClosureQuotient
+from congruence_oracle import ClosureQuotient, is_closed
 
 
 def readme_pair(n):
@@ -87,3 +87,46 @@ def test_sublattice_quotient_matches_closure_oracle(seed):
         tuple((rng.choice(universe), rng.choice(universe)) for _ in range(rng.randint(1, 2)))
     )
     assert_matches_oracle(universe, gamma)
+
+
+def random_universe(n, kind, rng):
+    free = pb.enumerate_hyperpower(n)
+    if kind == "subset":
+        return [p for p in free if rng.random() < 0.5]
+    if kind == "free-minus-one":
+        free.remove(rng.choice(free))
+        return free
+    generators = rng.sample(free, rng.randint(1, 3))
+    universe = sorted(
+        closed_sublattice(generators + [pb.bottom(n), pb.top(n)]), key=pb.prop_key
+    )
+    if kind == "sublattice-minus-one":
+        universe.remove(rng.choice(universe))
+    return universe
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+@pytest.mark.parametrize(
+    "kind", ("subset", "sublattice", "sublattice-minus-one", "free-minus-one")
+)
+def test_closure_check_matches_pairwise_rule(n, kind):
+    # The union closure of least members accepts exactly the universes that
+    # the pairwise rule finds closed and holding both constants.
+    rng = random.Random(f"closure:{n}:{kind}")
+    empty = pb.ConstraintSet(())
+    for _ in range(12):
+        universe = random_universe(n, kind, rng)
+        if is_closed(universe):
+            q = pb.quotient(universe, empty)
+            assert len(q.classes) == len(ClosureQuotient(universe, empty).classes)
+            continue
+        with pytest.raises(ValueError) as err:
+            pb.quotient(universe, empty)
+        if universe:
+            # The rejection names the smallest table of the generated
+            # sublattice that the universe lacks.
+            generated = closed_sublattice(universe + [pb.bottom(n), pb.top(n)])
+            missing = min(set(generated) - set(universe), key=lambda p: p.table)
+            assert str(err.value) == (
+                f"proposition {pb.format_proposition(missing)} is outside the universe"
+            )
