@@ -1,6 +1,19 @@
-"""Belief fusion on finite pre-Boolean algebras and continuous interval models."""
+"""Belief fusion on finite pre-Boolean algebras and continuous interval models.
 
-from . import belief, chebfusion, ordered, prebool
+The finite engine (``prebool``, ``belief``, ``ordered``) is pure Python; the
+spectral engine (``chebfusion``) needs numpy and scipy.  Importing the package
+loads none of them: each submodule is imported on first access, so
+``dsmfuse.chebfusion`` and ``from dsmfuse import chebfusion`` load numpy and
+scipy, and ``from dsmfuse import prebool`` does not.
+"""
+
+import importlib
 
 __all__ = ["belief", "chebfusion", "ordered", "prebool"]
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in __all__:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -9,6 +9,9 @@ of the density, and conjunctive fusion is a four-term combination of partial
 cumulatives.  Fusion multiplies its factors pointwise on a Lobatto grid about
 3/2 times the input degree, the smallest fast one on which the products'
 high modes cannot alias into the kept ones (Orszag's 3/2 rule).
+
+scipy is imported by the two transforms that use it, so evaluating, reading
+and querying a stored series load numpy alone.
 """
 
 from __future__ import annotations
@@ -16,11 +19,11 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 from numpy.polynomial import chebyshev as C
-from scipy.fft import dct
 
 NORMALIZATION_TOL = 1e-6
 
@@ -80,6 +83,11 @@ class ChebDensity:
     def degree(self) -> int:
         return self.coeffs.shape[0] - 1
 
+    @cached_property
+    def _belief_surface(self) -> ChebDensity:
+        # built once per density; belief_surface checks normalization first
+        return cumulative(self, corner=(-1, 1))
+
 
 def lobatto_nodes(n: int) -> np.ndarray:
     """cos(pi * i / n) for i = 0..n (decreasing from 1 to -1)."""
@@ -90,6 +98,8 @@ def _values_to_coeffs(values: np.ndarray, keep: int) -> np.ndarray:
     # DCT-I along each axis turns Lobatto samples into Chebyshev coefficients;
     # the first and last coefficient of each axis carry a 1/2 factor.  Only
     # the first keep+1 rows and columns are transformed further and returned.
+    from scipy.fft import dct
+
     n = values.shape[0] - 1
     c = dct(values, type=1, axis=0, workers=DCT_WORKERS)[: keep + 1]
     c = dct(c, type=1, axis=1, workers=DCT_WORKERS)[:, : keep + 1] / (n * n)
@@ -104,6 +114,8 @@ def _coeffs_to_values(coeffs: np.ndarray, n: int) -> np.ndarray:
     # Values on the (n+1)^2 Lobatto grid of a series with at most n+1
     # coefficients per axis.  The missing ones are zero: the axis-0 transform
     # runs on the given columns only, and each transform pads its input.
+    from scipy.fft import dct
+
     c = coeffs.copy()
     c[1:n, :] /= 2
     c[:, 1:n] /= 2
@@ -222,9 +234,13 @@ def belief(m: ChebDensity, iv: GeneralizedInterval) -> float:
 
 
 def belief_surface(m: ChebDensity) -> ChebDensity:
-    """The belief of (x, y) as a function of the interval endpoints."""
+    """The belief of (x, y) as a function of the interval endpoints.
+
+    The surface is built on first use and kept on the density, so many
+    beliefs of one density integrate it once.
+    """
     _require_normalized(m)
-    return cumulative(m, corner=(-1, 1))
+    return m._belief_surface
 
 
 def _require_normalized(d: ChebDensity) -> None:

@@ -5,6 +5,10 @@ Subcommands: ``hyperpower`` (enumerate or quotient a finite algebra),
 fusion experiment on [-1, 1]), ``fuse`` (combine two coefficient files) and
 ``belief`` (query a belief value).  Exit codes: 0 success, 1 usage, 2 input
 parse error, 3 numeric failure.
+
+Each subcommand imports only what it runs: ``hyperpower`` and ``ordered`` load
+neither numpy nor scipy, ``belief`` loads numpy, and ``fuse`` and
+``fuse-demo`` load both, through :mod:`dsmfuse.chebfusion`.
 """
 
 from __future__ import annotations
@@ -14,9 +18,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
-from . import chebfusion as cf
 from . import ordered, prebool
 
 EXIT_USAGE = 1
@@ -45,6 +46,8 @@ def cmd_hyperpower(args) -> int:
             text = Path(args.constraints).read_text()
         except OSError as exc:
             raise CliError(str(exc), EXIT_PARSE) from None
+        except UnicodeDecodeError as exc:
+            raise CliError(f"{args.constraints}: {exc}", EXIT_PARSE) from None
         try:
             gamma = prebool.parse_constraints(text, args.n)
         except prebool.ParseError as exc:
@@ -69,9 +72,11 @@ def cmd_ordered(args) -> int:
 
 
 def cmd_fuse_demo(args) -> int:
+    import numpy as np
+
+    from . import chebfusion as cf
+
     start = time.perf_counter()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     mm1 = cf.fit(cf.gaussian(*args.gauss1), args.degree)
     mm2 = cf.fit(cf.gaussian(*args.gauss2), args.degree)
@@ -86,9 +91,14 @@ def cmd_fuse_demo(args) -> int:
         "mm1": mm1, "mm2": mm2, "m1": m1, "m2": m2,
         "b1": b1, "b2": b2, "m1+m2": fused, "b1+b2": bf,
     }
-    for name, d in surfaces.items():
-        cf.save_grid(d, out / f"{name}.grid", g=args.grid)
-        cf.save_coeffs(d, out / f"{name}.cheb")
+    out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, d in surfaces.items():
+            cf.save_grid(d, out / f"{name}.grid", g=args.grid)
+            cf.save_coeffs(d, out / f"{name}.cheb")
+    except OSError as exc:
+        raise CliError(str(exc), EXIT_USAGE) from None
 
     # The probe step is 2/255, so its argmax is good to two decimals only.
     probe = np.linspace(-1, 1, 256)
@@ -105,6 +115,8 @@ def cmd_fuse_demo(args) -> int:
 
 
 def cmd_fuse(args) -> int:
+    from . import chebfusion as cf
+
     try:
         m1 = cf.load_coeffs(args.first)
         m2 = cf.load_coeffs(args.second)
@@ -114,12 +126,17 @@ def cmd_fuse(args) -> int:
         fused = cf.fuse(m1, m2)
     except ValueError as exc:
         raise CliError(str(exc), EXIT_NUMERIC) from None
-    cf.save_coeffs(fused, args.out)
+    try:
+        cf.save_coeffs(fused, args.out)
+    except OSError as exc:
+        raise CliError(str(exc), EXIT_USAGE) from None
     print(f"wrote {args.out} (integral {cf.integral_full(fused):.9f})")
     return 0
 
 
 def cmd_belief(args) -> int:
+    from . import chebfusion as cf
+
     try:
         m = cf.load_coeffs(args.bba)
     except (OSError, ValueError) as exc:

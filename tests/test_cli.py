@@ -56,6 +56,34 @@ def test_hyperpower_missing_file(capsys):
     assert err
 
 
+def test_hyperpower_constraints_not_utf8(tmp_path, capsys):
+    path = tmp_path / "gamma.txt"
+    path.write_bytes(b"\xffa0 = a1\n")
+    code, out, err = run(capsys, "hyperpower", "-n", "3", "-c", str(path))
+    assert code == cli.EXIT_PARSE
+    assert out == ""
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+
+def test_fuse_demo_unwritable_out(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, out, err = run(capsys, "fuse-demo", "--degree", "8", "--out", str(blocker / "x"))
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_fuse_command_unwritable_out(tmp_path, capsys):
+    a = tmp_path / "a.cheb"
+    cf.save_coeffs(cf.normalize(cf.fit(cf.gaussian(-1, 0), 8)), a)
+    out_path = tmp_path / "missing" / "f.cheb"
+    code, out, err = run(capsys, "fuse", str(a), str(a), "--out", str(out_path))
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and str(out_path) in err and err.count("\n") == 1
+
+
 def test_usage_error(capsys):
     assert run(capsys, "hyperpower")[0] == cli.EXIT_USAGE
     assert run(capsys, "no-such-command")[0] == cli.EXIT_USAGE

@@ -225,6 +225,30 @@ def test_belief_examples(m1):
         cf.belief(unnormalized, cf.GeneralizedInterval(0, 0))
 
 
+def test_belief_surface_is_built_once(monkeypatch):
+    m = cf.normalize(cf.fit(MM1, 64))
+    fresh = cf.cumulative(m, corner=(-1, 1))
+    calls = []
+    counted = cf.cumulative
+    monkeypatch.setattr(cf, "cumulative", lambda *a, **k: calls.append(a) or counted(*a, **k))
+    surface = cf.belief_surface(m)
+    points = [(-0.5, 0.5), (-1, 1), (0.3, -0.2), (0.6, 0.05)]
+    beliefs = [cf.belief(m, cf.GeneralizedInterval(lo, hi)) for lo, hi in points]
+    assert len(calls) == 1
+    assert cf.belief_surface(m) is surface
+    assert np.array_equal(surface.coeffs, fresh.coeffs)
+    assert beliefs == [cf.evaluate(fresh, lo, hi) for lo, hi in points]
+
+
+def test_unnormalized_belief_raises_on_every_call():
+    d = cf.fit(MM1, 32)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not normalized"):
+            cf.belief(d, cf.GeneralizedInterval(0, 0))
+        with pytest.raises(ValueError, match="not normalized"):
+            cf.belief_surface(d)
+
+
 def test_belief_monotone_under_containment(m1):
     rng = np.random.default_rng(0)
     surface = cf.belief_surface(m1)

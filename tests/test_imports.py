@@ -1,0 +1,92 @@
+"""Each entry point loads only the libraries it runs.
+
+The finite engine and its subcommands are pure Python: importing the package
+or running ``hyperpower`` or ``ordered`` must not load numpy or scipy.
+``belief`` evaluates a stored series and needs numpy alone.  Every case runs
+in a fresh interpreter, since this test process has loaded both already.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+README_PAIR = "a0 & a1 = a0 & a2\na0 & a2 = a1 & a2\n"
+# the constant density 1/4 on [-1, 1]^2, normalized
+UNIFORM_CHEB = "cheb2d 2\n0.25 0 0\n0 0 0\n0 0 0\n"
+
+
+def heavy_modules_after(code: str) -> tuple[set[str], str]:
+    """Top-level numpy/scipy packages loaded by ``code``, and its last stdout line."""
+    probe = (
+        code
+        + "\nimport json, sys\n"
+        + "print(json.dumps(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'})))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    lines = result.stdout.splitlines()
+    return set(json.loads(lines[-1])), "\n".join(lines[:-1])
+
+
+def cli_code(argv: list[str]) -> str:
+    return f"from dsmfuse import cli\nprint('exit', cli.main({argv!r}))"
+
+
+@pytest.mark.parametrize(
+    "code",
+    ["import dsmfuse", "import dsmfuse.cli", "from dsmfuse import prebool, belief, ordered"],
+)
+def test_finite_imports_load_neither_library(code):
+    assert heavy_modules_after(code)[0] == set()
+
+
+def test_finite_subcommands_load_neither_library(tmp_path):
+    pair = tmp_path / "pair.txt"
+    pair.write_text(README_PAIR)
+    for argv, exit_code in (
+        (["hyperpower", "-n", "3"], 0),
+        (["hyperpower", "-n", "3", "-c", str(pair)], 0),
+        (["ordered", "-n", "3"], 0),
+        (["hyperpower", "-n", "0"], 3),
+    ):
+        loaded, out = heavy_modules_after(cli_code(argv))
+        assert out.splitlines()[-1] == f"exit {exit_code}", argv
+        assert loaded == set(), argv
+
+
+def test_belief_subcommand_loads_numpy_only(tmp_path):
+    path = tmp_path / "uniform.cheb"
+    path.write_text(UNIFORM_CHEB)
+    loaded, out = heavy_modules_after(cli_code(["belief", str(path), "--", "-0.5", "0.5"]))
+    assert out.splitlines() == ["0.5625", "exit 0"]
+    assert loaded == {"numpy"}
+
+
+def test_submodules_resolve_on_first_access():
+    loaded, out = heavy_modules_after(
+        "import dsmfuse\n"
+        "print(dsmfuse.chebfusion.fuse.__name__)\n"
+        "try:\n"
+        "    dsmfuse.nope\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+    )
+    assert out.splitlines() == ["fuse", "module 'dsmfuse' has no attribute 'nope'"]
+    assert loaded == {"numpy"}
+
+
+def test_star_import_loads_every_submodule():
+    _loaded, out = heavy_modules_after(
+        "from dsmfuse import *\nprint(sorted(n for n in dir() if not n.startswith('_')))"
+    )
+    assert out == "['belief', 'chebfusion', 'ordered', 'prebool']"
