@@ -16,7 +16,6 @@ and querying a stored series load numpy alone.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -63,9 +62,13 @@ def interval_meet(a: GeneralizedInterval, b: GeneralizedInterval) -> Generalized
     return GeneralizedInterval(max(a.lo, b.lo), min(a.hi, b.hi))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChebDensity:
-    """2-D Chebyshev series on [-1, 1]^2; coeffs[k, l] multiplies T_k(x) T_l(y)."""
+    """2-D Chebyshev series on [-1, 1]^2; coeffs[k, l] multiplies T_k(x) T_l(y).
+
+    Equality and hashing are by identity; the cached belief surface belongs
+    to the object, not to its coefficients.
+    """
 
     coeffs: np.ndarray
 

@@ -35,7 +35,7 @@ def _parse_center(text: str) -> tuple[float, float]:
     try:
         cx, cy = (float(v) for v in text.split(","))
     except ValueError:
-        raise CliError(f"expected 'cx,cy', got {text!r}", EXIT_USAGE) from None
+        raise argparse.ArgumentTypeError(f"expected 'cx,cy', got {text!r}") from None
     return cx, cy
 
 

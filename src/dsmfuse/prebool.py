@@ -445,7 +445,7 @@ def format_proposition(p: Proposition) -> str:
     if p.is_top:
         return "top"
     parts = []
-    for clause in sorted(prop_key(p)):
+    for clause in prop_key(p):
         lits = [f"a{i}" for i in clause]
         parts.append(" & ".join(lits) if len(p.clauses) == 1 or len(lits) == 1
                      else "(" + " & ".join(lits) + ")")

@@ -103,6 +103,12 @@ def test_ordered_report_at_n5(capsys):
     assert out.splitlines() == ["classes: 131", "staircases: 131", "PASS"]
 
 
+def test_ordered_report_at_n12(capsys):
+    code, out, err = run(capsys, "ordered", "-n", "12", "--max-atoms", "12")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["classes: 742899", "staircases: 742899", "PASS"]
+
+
 def test_ordered_fail_path(monkeypatch, capsys):
     # Without a0 & a1 & a2 = a0 & a2 the atom set {a0, a2} survives the
     # congruence although it is no interval.
@@ -125,6 +131,17 @@ def test_ordered_needs_an_atom(capsys):
     for n in ("0", "-1"):
         code, out, err = run(capsys, "ordered", "-n", n)
         assert (code, out, err) == (cli.EXIT_NUMERIC, "", "error: need at least one atom\n")
+
+
+@pytest.mark.parametrize("option", ["--gauss1", "--gauss2"])
+@pytest.mark.parametrize("value", ["abc", "1,2,3"])
+def test_fuse_demo_malformed_center(tmp_path, capsys, option, value):
+    out_dir = tmp_path / "demo"
+    code, out, err = run(capsys, "fuse-demo", "--out", str(out_dir), option, value)
+    assert code == cli.EXIT_USAGE
+    assert out == "" and "Traceback" not in err
+    assert f"argument {option}: expected 'cx,cy', got {value!r}" in err
+    assert not out_dir.exists()
 
 
 def test_fuse_demo_writes_surfaces(tmp_path, capsys):

@@ -240,6 +240,15 @@ def test_belief_surface_is_built_once(monkeypatch):
     assert beliefs == [cf.evaluate(fresh, lo, hi) for lo, hi in points]
 
 
+def test_density_equality_and_hash_are_by_identity():
+    d = cf.ChebDensity([[0.25, 0], [0, 0]])
+    twin = cf.ChebDensity([[0.25, 0], [0, 0]])
+    assert d == d
+    assert d != twin
+    assert hash(d) == hash(d)
+    assert {d, twin, d} == {d, twin}
+
+
 def test_unnormalized_belief_raises_on_every_call():
     d = cf.fit(MM1, 32)
     for _ in range(2):

@@ -149,6 +149,28 @@ def test_verify_isomorphism_builds_no_algebra(monkeypatch):
     assert report.class_count == report.staircase_count == 131
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_report_counts_match_enumeration(n):
+    # The closed-form counts against the enumerations they replaced.
+    keep = pb.top(n).table & ~pb.congruence_mask(od.order_constraints(n))
+    report = od.verify_isomorphism(n, max_atoms=n)
+    assert report.ok, report.counterexamples
+    assert report.class_count == len(pb.upsets(n, keep)) - 2
+    assert report.staircase_count == len(od.enumerate_staircases(n))
+
+
+def test_passing_check_lists_no_staircase(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify_isomorphism enumerated up-sets or staircases")
+
+    monkeypatch.setattr(pb, "upsets", refuse)
+    monkeypatch.setattr(od, "enumerate_staircases", refuse)
+    monkeypatch.setattr(od, "Staircase", refuse)
+    report = od.verify_isomorphism(12, max_atoms=12)
+    assert report.ok, report.counterexamples
+    assert report.class_count == report.staircase_count == 742899
+
+
 def test_staircase_validation():
     with pytest.raises(ValueError, match="non-empty"):
         od.Staircase(2, 0)

@@ -65,3 +65,16 @@ def test_count_is_catalan_minus_one():
     counts = [len(od.enumerate_staircases(n)) for n in range(1, 8)]
     assert counts == [comb(2 * n + 2, n + 1) // (n + 2) - 1 for n in range(1, 8)]
     assert counts == [1, 4, 13, 41, 131, 428, 1429]
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_render_matches_pair_grid(n):
+    # render_staircase reads the thresholds; the brute-force pair grid is its oracle.
+    for t in so.enumerate_staircases(n):
+        pairs = so.pairs_of(t)
+        grid = [
+            "".join("#" if (i, j) in pairs else "." for i in range(n))
+            for j in reversed(range(n))
+        ]
+        s = od.Staircase(n, so.table_of(pairs))
+        assert od.render_staircase(s).splitlines() == grid
