@@ -1,17 +1,28 @@
 """Basic belief assignments over finite insulated pre-Boolean algebras.
 
-Masses are stored sparsely on class representatives of a :class:`Quotient`.
-Values may be floats or :class:`fractions.Fraction`; all operations are pure
-and preserve the value type, so rational inputs give exact results.  Belief
-and its inversion compare integer class keys (:meth:`Quotient.key`): phi lies
-below psi iff ``key(phi) & ~key(psi) == 0``.
+A :class:`FiniteBba` keeps its masses sparsely by class key
+(:meth:`Quotient.key`, the truth table with the congruence-mask bits
+cleared), as numerators over one denominator D.  When every mass is an
+``int`` or a :class:`fractions.Fraction`, the numerators are integers and D
+is the lcm of the input denominators: fusion multiplies denominators, and
+belief and its inversion add integers, so results are exact without a gcd
+per addition.  ``Fraction``s are built only where values leave the module:
+:attr:`FiniteBba.mass`, indexing, and the values of :func:`bel` and
+:func:`bel_table`.  Once any mass is a float (or another non-rational
+number), the same code runs with D = 1 and the values kept as given, so
+float results and the ``MASS_TOL`` checks are those of plain per-value sums
+in insertion order.
+
+Belief and its inversion compare keys: phi lies below psi iff
+``key(phi) & ~key(psi) == 0``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping
+from fractions import Fraction
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from .prebool import Proposition, Quotient, format_proposition
 
@@ -33,63 +44,149 @@ class InconsistentBelief(BbaError):
         )
 
 
-@dataclass(frozen=True)
-class FiniteBba:
-    """Normalized mass function over the representatives of an algebra.
+def _is_exact(values: Iterable) -> bool:
+    return all(isinstance(v, (int, Fraction)) for v in values)
 
-    With ``exhaustive=True`` (the default) all mass lives strictly between
-    BOTTOM and TOP; otherwise TOP may carry mass, BOTTOM never does.
+
+def _over_common_denominator(values: list) -> tuple[list[int], int]:
+    """Integer numerators of rational values over the lcm of their denominators."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _reps_by_key(algebra: Quotient) -> dict[int, Proposition]:
+    return {algebra.key(rep): rep for rep in algebra.representatives}
+
+
+def _below(num: Mapping[int, object], K: int):
+    """Sum of the numerators whose keys lie inside K."""
+    outside = ~K
+    return sum([v for k, v in num.items() if not k & outside])
+
+
+class FiniteBba:
+    """Normalized mass function over the classes of an algebra.
+
+    ``mass`` maps propositions to masses; masses of congruent propositions
+    add up.  With ``exhaustive=True`` (the default) all mass lives strictly
+    between BOTTOM and TOP; otherwise TOP may carry mass, BOTTOM never does.
+
+    The masses are stored as numerators keyed by class key over one
+    denominator: integers over the lcm of the input denominators when every
+    mass is an ``int`` or ``Fraction``, the values as given over 1 otherwise.
+    :attr:`mass` and indexing turn exact numerators into ``Fraction``s (an
+    ``int`` mass comes back as an equal ``Fraction``) and return other
+    values unchanged.  Equality compares the algebra and the mass values, so
+    equal masses over different denominators are equal assignments.
     """
 
-    algebra: Quotient
-    mass: Mapping[Proposition, object]
-    exhaustive: bool = field(default=True, compare=False)
+    __slots__ = ("algebra", "exhaustive", "_num", "_den", "_exact", "_mass")
 
-    def __post_init__(self) -> None:
-        cleaned = {}
+    def __init__(
+        self,
+        algebra: Quotient,
+        mass: Mapping[Proposition, object],
+        exhaustive: bool = True,
+    ) -> None:
+        keys = [algebra.key(p) for p in mass]
+        values = list(mass.values())
+        exact = _is_exact(values)
+        den = 1
+        if exact:
+            values, den = _over_common_denominator(values)
+        self._fill(algebra, zip(keys, values), den, exact, exhaustive)
+
+    @classmethod
+    def _from_keys(cls, algebra, items, den, exact, exhaustive) -> FiniteBba:
+        self = cls.__new__(cls)
+        self._fill(algebra, items, den, exact, exhaustive)
+        return self
+
+    def _fill(
+        self,
+        algebra: Quotient,
+        items: Iterable[tuple[int, object]],
+        den: int,
+        exact: bool,
+        exhaustive: bool,
+    ) -> None:
+        top = algebra.key(algebra.top)
+        num: dict[int, object] = {}
         total = 0
-        for p, v in self.mass.items():
-            rep = self.algebra.class_of(p)
+        for k, v in items:
             # NaN fails every comparison, so it would pass the checks below
             if v != v or abs(v) == math.inf:
-                raise BbaError(f"non-finite mass {v} at {format_proposition(rep)}")
+                raise BbaError(f"non-finite mass {v} at {_name(algebra, k)}")
             if v < 0:
-                raise BbaError(f"negative mass at {format_proposition(rep)}")
+                raise BbaError(f"negative mass at {_name(algebra, k)}")
             if v == 0:
                 continue
-            if rep == self.algebra.bottom:
+            if k == 0:
                 raise BbaError("mass on BOTTOM is forbidden")
-            if self.exhaustive and rep == self.algebra.top:
+            if exhaustive and k == top:
                 raise BbaError("mass on TOP violates the exhaustivity convention")
-            cleaned[rep] = cleaned.get(rep, 0) + v
+            num[k] = num.get(k, 0) + v
             total += v
-        if abs(total - 1) > MASS_TOL:
+        deviation = total - den
+        if exact:
+            deviation = Fraction(deviation, den)
+        if abs(deviation) > MASS_TOL:
+            total = Fraction(total, den) if exact else total
             raise BbaError(f"total mass {total} is not 1")
-        object.__setattr__(self, "mass", cleaned)
+        self.algebra = algebra
+        self.exhaustive = exhaustive
+        self._num = num
+        self._den = den
+        self._exact = exact
+        self._mass = None
+
+    def _value(self, v):
+        return Fraction(v, self._den) if self._exact else v
+
+    def _values(self) -> Mapping[int, object]:
+        """The masses by key, as :attr:`mass` gives them."""
+        if not self._exact:
+            return self._num
+        return {k: Fraction(v, self._den) for k, v in self._num.items()}
+
+    @property
+    def mass(self) -> Mapping[Proposition, object]:
+        """Read-only map from class representatives to their masses."""
+        if self._mass is None:
+            rep = _reps_by_key(self.algebra)
+            self._mass = MappingProxyType(
+                {rep[k]: v for k, v in self._values().items()}
+            )
+        return self._mass
 
     def __getitem__(self, p: Proposition):
-        return self.mass.get(self.algebra.class_of(p), 0)
+        return self._value(self._num.get(self.algebra.key(p), 0))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FiniteBba):
+            return NotImplemented
+        return self.algebra is other.algebra and self.mass == other.mass
+
+    def __repr__(self) -> str:
+        return (
+            f"FiniteBba({self.algebra!r}, {dict(self.mass)!r}, "
+            f"exhaustive={self.exhaustive!r})"
+        )
 
 
-def _focal_keys(m: FiniteBba) -> list[tuple[int, object]]:
-    key = m.algebra.key
-    return [(key(p), v) for p, v in m.mass.items()]
-
-
-def _mass_below(focal: list[tuple[int, object]], K: int):
-    # Total mass of the keyed focal elements whose keys lie inside K.
-    return sum(v for k, v in focal if not k & ~K)
+def _name(algebra: Quotient, k: int) -> str:
+    return format_proposition(_reps_by_key(algebra)[k])
 
 
 def bel(m: FiniteBba, phi: Proposition):
     """Cumulative mass over every class below phi (phi included)."""
-    return _mass_below(_focal_keys(m), m.algebra.key(phi))
+    return m._value(_below(m._num, m.algebra.key(phi)))
 
 
 def bel_table(m: FiniteBba) -> dict[Proposition, object]:
     """Belief of every representative of the algebra."""
-    focal, key = _focal_keys(m), m.algebra.key
-    return {rep: _mass_below(focal, key(rep)) for rep in m.algebra.representatives}
+    key, num = m.algebra.key, m._num
+    return {rep: m._value(_below(num, key(rep))) for rep in m.algebra.representatives}
 
 
 def bba_from_bel(
@@ -99,48 +196,65 @@ def bba_from_bel(
 ) -> FiniteBba:
     """Invert a belief table back into its mass function.
 
-    Sweeps the classes in ascending :meth:`Quotient.key` order, a linear
-    extension of the order, peeling off the mass already recovered strictly
-    below each class.  A recovered mass below ``-MASS_TOL`` signals an
-    inconsistent belief table.
+    Puts an exact table on one common denominator, then sweeps the classes
+    in ascending :meth:`Quotient.key` order, a linear extension of the order,
+    peeling off the mass already recovered strictly below each class.  A
+    recovered mass below ``-MASS_TOL`` signals an inconsistent belief table;
+    one in ``[-MASS_TOL, 0]`` is dropped.
     """
-    values = {algebra.class_of(p): v for p, v in bel_values.items()}
-    missing = [p for p in algebra.representatives if p not in values]
+    key = algebra.key
+    values = {key(p): v for p, v in bel_values.items()}
+    missing = [p for p in algebra.representatives if key(p) not in values]
     if missing:
         raise BbaError(
             f"belief table misses {format_proposition(missing[0])} "
             f"(and {len(missing) - 1} more)" if len(missing) > 1
             else f"belief table misses {format_proposition(missing[0])}"
         )
-    keys = {rep: algebra.key(rep) for rep in algebra.representatives}
-    mass: dict[Proposition, object] = {}
-    # Masses recovered so far, by key.  Their classes were swept before phi,
-    # so each one that lies below phi lies strictly below it.
-    below: list[tuple[int, object]] = []
-    for phi in sorted(keys, key=keys.__getitem__):
-        K = keys[phi]
-        mv = values[phi] - _mass_below(below, K)
-        if mv < -MASS_TOL:
-            raise InconsistentBelief(phi, mv)
-        if mv > 0:
-            mass[phi] = mv
-            below.append((K, mv))
-    return FiniteBba(algebra, mass, exhaustive=exhaustive)
+    exact = _is_exact(values.values())
+    den = 1
+    if exact:
+        nums, den = _over_common_denominator(list(values.values()))
+        values = dict(zip(values, nums))
+    # Masses recovered so far, by key.  Their classes were swept before K,
+    # so each one that lies below K lies strictly below it.
+    mass: dict[int, object] = {}
+    for K in sorted(values):
+        mv = values[K] - _below(mass, K)
+        if mv < 0:
+            value = Fraction(mv, den) if exact else mv
+            if value < -MASS_TOL:
+                raise InconsistentBelief(_reps_by_key(algebra)[K], value)
+        elif mv > 0:
+            mass[K] = mv
+    return FiniteBba._from_keys(algebra, mass.items(), den, exact, exhaustive)
 
 
 def fuse(m1: FiniteBba, m2: FiniteBba) -> FiniteBba:
     """Conjunctive combination: product masses land on the pairwise meet.
 
-    On an insulated algebra no cross product collapses to BOTTOM, so the
-    output total is the product of the input totals and no renormalization
-    is needed.
+    The meet of two classes is the ``&`` of their keys.  Exact masses are
+    multiplied as numerators over the product of the denominators, and one
+    gcd then reduces the result.  On an insulated algebra no cross product
+    collapses to BOTTOM, so the output total is the product of the input
+    totals and no renormalization is needed.
     """
     if m1.algebra is not m2.algebra:
         raise BbaError("cannot fuse assignments over different algebras")
-    alg = m1.algebra
-    out: dict[Proposition, object] = {}
-    for p1, v1 in m1.mass.items():
-        for p2, v2 in m2.mass.items():
-            target = alg.meet(p1, p2)
-            out[target] = out.get(target, 0) + v1 * v2
-    return FiniteBba(alg, out, exhaustive=m1.exhaustive and m2.exhaustive)
+    exact = m1._exact and m2._exact
+    num1, num2 = (m._num if exact else m._values() for m in (m1, m2))
+    out: dict[int, object] = {}
+    for k1, v1 in num1.items():
+        for k2, v2 in num2.items():
+            k = k1 & k2
+            out[k] = out.get(k, 0) + v1 * v2
+    den = 1
+    if exact:
+        den = m1._den * m2._den
+        g = math.gcd(den, *out.values())
+        if g > 1:
+            den //= g
+            out = {k: v // g for k, v in out.items()}
+    return FiniteBba._from_keys(
+        m1.algebra, out.items(), den, exact, m1.exhaustive and m2.exhaustive
+    )

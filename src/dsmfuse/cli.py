@@ -39,6 +39,26 @@ def _parse_center(text: str) -> tuple[float, float]:
     return cx, cy
 
 
+def _checked_int(ok, requirement: str):
+    """An argparse type: an integer for which ``ok`` holds, else a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{requirement}, got {value}")
+        return value
+
+    return parse
+
+
+_atom_count = _checked_int(lambda n: n >= 1, "need at least one atom")
+_degree = _checked_int(lambda d: d >= 2 and not d & (d - 1), "degree must be a power of two >= 2")
+_grid_size = _checked_int(lambda g: g >= 2, "grid size must be >= 2")
+
+
 def cmd_hyperpower(args) -> int:
     universe = prebool.enumerate_hyperpower(args.n, max_atoms=args.max_atoms)
     if args.constraints:
@@ -154,19 +174,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("hyperpower", help="enumerate a free or constrained algebra")
-    p.add_argument("-n", type=int, required=True, help="number of atoms")
+    p.add_argument("-n", type=_atom_count, required=True, help="number of atoms")
     p.add_argument("-c", "--constraints", help="constraint file, one '<expr> = <expr>' per line")
     p.add_argument("--max-atoms", type=int, default=prebool.DEFAULT_ATOM_GUARD)
     p.set_defaults(func=cmd_hyperpower)
 
     p = sub.add_parser("ordered", help="verify the staircase isomorphism")
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-n", type=_atom_count, required=True)
     p.add_argument("--max-atoms", type=int, default=prebool.DEFAULT_ATOM_GUARD)
     p.set_defaults(func=cmd_ordered)
 
     p = sub.add_parser("fuse-demo", help="run the Gaussian fusion experiment")
-    p.add_argument("--degree", type=int, default=128)
-    p.add_argument("--grid", type=int, default=64)
+    p.add_argument("--degree", type=_degree, default=128)
+    p.add_argument("--grid", type=_grid_size, default=64)
     p.add_argument("--gauss1", type=_parse_center, default=(-1.0, 0.0))
     p.add_argument("--gauss2", type=_parse_center, default=(0.0, 1.0))
     p.add_argument("--out", default="demo-out")

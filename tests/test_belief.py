@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from dsmfuse import belief as bf
 from dsmfuse import prebool as pb
 
+import fraction_bba_oracle as oracle
+
 
 @pytest.fixture(scope="module")
 def free2():
@@ -251,3 +253,86 @@ def test_fraction_masses_stay_fractions(example3_algebra, data):
     for m in (fused, recovered):
         assert all(type(v) is Fraction for v in m.mass.values())
     assert recovered.mass == fused.mass
+
+
+def test_inversion_equals_bba_over_another_denominator(example3_algebra):
+    # Two congruent propositions keep the input denominator at 6, while the
+    # belief table, whose class masses are 1/2 each, is over 2.
+    p, q = next(sorted(c, key=pb.prop_key) for c in example3_algebra.classes.values() if len(c) > 1)
+    r = next(x for x in example3_algebra.representatives
+             if x not in (example3_algebra.bottom, example3_algebra.top, example3_algebra.class_of(p)))
+    m = bf.FiniteBba(example3_algebra, {p: Fraction(1, 3), q: Fraction(1, 6), r: Fraction(1, 2)})
+    recovered = bf.bba_from_bel(example3_algebra, bf.bel_table(m))
+    assert (m._den, recovered._den) == (6, 2)
+    assert recovered == m
+    assert recovered.mass == {example3_algebra.class_of(p): Fraction(1, 2), r: Fraction(1, 2)}
+
+
+def test_repeated_fusion_stays_exact(example3_algebra):
+    rng = random.Random(10)
+    m = random_bba(example3_algebra, rng)
+    fused, fused_oracle = m, oracle.FiniteBba(example3_algebra, dict(m.mass))
+    for _ in range(10):
+        fused = bf.fuse(fused, m)
+        fused_oracle = oracle.fuse(fused_oracle, oracle.FiniteBba(example3_algebra, dict(m.mass)))
+    assert all(type(v) is Fraction for v in fused.mass.values())
+    assert sum(fused.mass.values()) == 1
+    assert fused.mass == fused_oracle.mass
+    assert bf.bba_from_bel(example3_algebra, bf.bel_table(fused)) == fused
+
+
+def _table_with_dip(free2, dip):
+    # m = {a: 1/2, b: 1/2}, with bel(a | b) lowered by dip: the inversion
+    # recovers -dip at a | b, and the masses above it stay as they were.
+    a, b = pb.atom_prop(2, 0), pb.atom_prop(2, 1)
+    table = bf.bel_table(bf.FiniteBba(free2, {a: Fraction(1, 2), b: Fraction(1, 2)}))
+    table[pb.join(a, b)] -= dip
+    return table
+
+
+@pytest.mark.parametrize("dip", [TOL / 2, TOL])
+def test_inversion_drops_tiny_negative_mass(free2, dip):
+    a, b = pb.atom_prop(2, 0), pb.atom_prop(2, 1)
+    recovered = bf.bba_from_bel(free2, _table_with_dip(free2, dip))
+    assert recovered.mass == {a: Fraction(1, 2), b: Fraction(1, 2)}
+
+
+def test_inversion_rejects_negative_mass_beyond_tolerance(free2):
+    dip = TOL + Fraction(1, 10**30)
+    with pytest.raises(bf.InconsistentBelief) as raised:
+        bf.bba_from_bel(free2, _table_with_dip(free2, dip))
+    a, b = pb.atom_prop(2, 0), pb.atom_prop(2, 1)
+    assert raised.value.proposition == pb.join(a, b)
+    assert raised.value.value == -dip and type(raised.value.value) is Fraction
+
+
+def test_fusion_onto_bottom_is_rejected():
+    # With a & b = BOTTOM the algebra is not insulated: the product of two
+    # point masses lands on BOTTOM, key 0.
+    a, b = pb.atom_prop(2, 0), pb.atom_prop(2, 1)
+    gamma = pb.ConstraintSet(((pb.meet(a, b), pb.bottom(2)),))
+    alg = pb.quotient(pb.enumerate_hyperpower(2), gamma)
+    m1, m2 = bf.FiniteBba(alg, {a: Fraction(1)}), bf.FiniteBba(alg, {b: Fraction(1)})
+    with pytest.raises(bf.BbaError, match="BOTTOM"):
+        bf.fuse(m1, m2)
+
+
+def test_int_masses_come_back_as_fractions(free2):
+    # Exact masses are integer numerators over one denominator, so an int
+    # mass leaves as the equal Fraction, as do beliefs and fused masses.
+    a, b, top = pb.atom_prop(2, 0), pb.atom_prop(2, 1), pb.top(2)
+    vacuous = bf.FiniteBba(free2, {top: 1}, exhaustive=False)
+    half = bf.FiniteBba(free2, {a: Fraction(1, 2), b: Fraction(1, 2)})
+    with pytest.raises(bf.BbaError, match="total mass 3/2"):
+        bf.FiniteBba(free2, {a: 1, top: Fraction(1, 2)}, exhaustive=False)
+    assert dict(vacuous.mass) == {top: Fraction(1)}
+    assert bf.fuse(vacuous, half) == half
+    for value in (
+        *vacuous.mass.values(),
+        *bf.fuse(vacuous, vacuous).mass.values(),
+        bf.bel(vacuous, top), bf.bel(vacuous, a), vacuous[a],
+        *bf.bel_table(vacuous).values(),
+    ):
+        assert type(value) is Fraction
+    assert bf.fuse(vacuous, vacuous) == vacuous
+

@@ -130,7 +130,34 @@ def test_ordered_fail_path(monkeypatch, capsys):
 def test_ordered_needs_an_atom(capsys):
     for n in ("0", "-1"):
         code, out, err = run(capsys, "ordered", "-n", n)
-        assert (code, out, err) == (cli.EXIT_NUMERIC, "", "error: need at least one atom\n")
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert err.endswith(f"dsmfuse ordered: error: argument -n: need at least one atom, got {n}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["hyperpower", "-n", "0"], "argument -n: need at least one atom, got 0"),
+    (["ordered", "-n", "0"], "argument -n: need at least one atom, got 0"),
+    (["ordered", "-n", "-1"], "argument -n: need at least one atom, got -1"),
+    (["fuse-demo", "--degree", "7"], "argument --degree: degree must be a power of two >= 2, got 7"),
+    (["fuse-demo", "--grid", "1"], "argument --grid: grid size must be >= 2, got 1"),
+])
+def test_bad_option_value_is_a_usage_error(tmp_path, capsys, argv, message):
+    out_dir = tmp_path / "demo"
+    extra = ["--out", str(out_dir)] if argv[0] == "fuse-demo" else []
+    code, out, err = run(capsys, *argv, *extra)
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"dsmfuse {argv[0]}: error: {message}"
+    ]
+    assert not out_dir.exists()
+
+
+def test_enumeration_guard_is_a_numeric_failure(capsys):
+    code, out, err = run(capsys, "hyperpower", "-n", "7")
+    assert (code, out, err) == (
+        cli.EXIT_NUMERIC, "", "error: n=7 exceeds the enumeration guard (4)\n"
+    )
 
 
 @pytest.mark.parametrize("option", ["--gauss1", "--gauss2"])
