@@ -6,9 +6,16 @@ exactness, y > x imprecision.  Densities are stored as coefficient matrices
 c[k][l] of sum c[k][l] T_k(x) T_l(y), fitted by a fast cosine transform on
 the Chebyshev-Lobatto tensor grid.  Belief is a corner cumulative integral
 of the density, and conjunctive fusion is a four-term combination of partial
-cumulatives.  Fusion multiplies its factors pointwise on a Lobatto grid about
-3/2 times the input degree, the smallest fast one on which the products'
-high modes cannot alias into the kept ones (Orszag's 3/2 rule).
+cumulatives.
+
+Fusion works at the degree the data resolves.  :func:`chop` finds where each
+input's coefficients reach their round-off plateau (Aurentz & Trefethen's
+standardChop), and fusion multiplies the leading blocks up to the larger of
+the two chopped degrees, k, pointwise on a Lobatto grid.  That grid is the
+smallest fast one on which the products' high modes cannot alias into the
+min(n, 2k+1) kept ones (Orszag's 3/2 rule; at k = n it is about 3/2 times
+the input degree n).  The result is zero-padded back to degree n.  A series
+whose coefficients do not decay to a plateau is not cut.
 
 scipy is imported by the two transforms that use it, so evaluating, reading
 and querying a stored series load numpy alone.
@@ -25,6 +32,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as C
 
 NORMALIZATION_TOL = 1e-6
+_EPS = np.finfo(float).eps
 
 # Threads per 2-D transform, one per usable core.  Each thread takes whole
 # 1-D transforms, so the result does not depend on the count.
@@ -87,6 +95,15 @@ class ChebDensity:
         return self.coeffs.shape[0] - 1
 
     @cached_property
+    def _block(self) -> np.ndarray:
+        # Leading square block past which every coefficient is exactly 0.0,
+        # with no tolerance; evaluate and cumulative run on it.
+        c = self.coeffs
+        used = np.flatnonzero(c.any(axis=0) | c.any(axis=1))
+        size = used[-1] + 1 if used.size else 1
+        return c[:size, :size]
+
+    @cached_property
     def _belief_surface(self) -> ChebDensity:
         # built once per density; belief_surface checks normalization first
         return cumulative(self, corner=(-1, 1))
@@ -126,6 +143,11 @@ def _coeffs_to_values(coeffs: np.ndarray, n: int) -> np.ndarray:
     return dct(c, type=1, n=n + 1, axis=1, workers=DCT_WORKERS)
 
 
+def _pad(c: np.ndarray, size: int) -> np.ndarray:
+    # c zero-padded to size x size
+    return np.pad(c, ((0, size - c.shape[0]), (0, size - c.shape[1])))
+
+
 def fit(f: Callable[[np.ndarray, np.ndarray], np.ndarray], degree: int) -> ChebDensity:
     """Interpolate f on the (degree+1)^2 Chebyshev-Lobatto tensor grid.
 
@@ -144,20 +166,25 @@ def fit(f: Callable[[np.ndarray, np.ndarray], np.ndarray], degree: int) -> ChebD
 
 
 def evaluate(d: ChebDensity, x, y):
-    """Series value at (x, y) in [-1, 1]^2 from Chebyshev Vandermonde rows."""
+    """Series value at (x, y) in [-1, 1]^2 from Chebyshev Vandermonde rows.
+
+    Only the leading block holding every nonzero coefficient is summed.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if np.any(np.abs(x) > 1) or np.any(np.abs(y) > 1):
         raise ValueError("evaluation point outside [-1, 1]^2")
+    c = d._block
+    deg = c.shape[0] - 1
     if x.ndim == 2 and y.ndim == 2 and x.shape[1] == 1 and y.shape[0] == 1:
         # outer-product grid: two matrix products share each row and column
-        vx = C.chebvander(x[:, 0], d.degree)
-        vy = C.chebvander(y[0, :], d.degree)
-        return vx @ d.coeffs @ vy.T
+        vx = C.chebvander(x[:, 0], deg)
+        vy = C.chebvander(y[0, :], deg)
+        return vx @ c @ vy.T
     # scattered points: row-wise dot products of vander(x) @ C with vander(y)
     x, y = np.broadcast_arrays(x, y)
-    vx, vy = (C.chebvander(v.ravel(), d.degree) for v in (x, y))
-    out = np.einsum("ik,ik->i", vx @ d.coeffs, vy).reshape(x.shape)
+    vx, vy = (C.chebvander(v.ravel(), deg) for v in (x, y))
+    out = np.einsum("ik,ik->i", vx @ c, vy).reshape(x.shape)
     return float(out) if out.ndim == 0 else out
 
 
@@ -219,11 +246,12 @@ def cumulative(d: ChebDensity, corner: tuple[int, int]) -> ChebDensity:
     ``corner=(cx, cy)`` names the corner where the accumulation is complete:
     cx=+1 integrates x from -1, cx=-1 integrates x from +1 (downwards), and
     likewise for cy.  The belief corner is (-1, +1): full mass at the point
-    (-1, 1).
+    (-1, 1).  The result has degree n+1; it is integrated from the leading
+    nonzero block and zero-padded.
     """
-    c = _axis_cumulative(d.coeffs, axis=0, full_at=corner[0])
+    c = _axis_cumulative(d._block, axis=0, full_at=corner[0])
     c = _axis_cumulative(c, axis=1, full_at=corner[1])
-    return ChebDensity(c)
+    return ChebDensity(_pad(c, d.degree + 2))
 
 
 def belief(m: ChebDensity, iv: GeneralizedInterval) -> float:
@@ -252,6 +280,49 @@ def _require_normalized(d: ChebDensity) -> None:
         raise ValueError(f"density is not normalized (integral {total})")
 
 
+def chop(d: ChebDensity) -> int:
+    """Degree at which the coefficients of ``d`` reach their round-off plateau.
+
+    This is Aurentz & Trefethen's standardChop ("Chopping a Chebyshev
+    series", ACM TOMS 2017) with tol = machine epsilon, run on the shell
+    envelope: entry k is the largest |c[i, j]| with max(i, j) >= k.  A
+    series of fewer than 17 coefficients per axis, or one whose envelope has
+    no plateau, keeps its degree; a longer all-zero series chops to 0.
+    """
+    n = d.degree + 1
+    if n < 17:
+        return d.degree
+    a = np.abs(d.coeffs)
+    env = np.maximum(a.max(axis=0), a.max(axis=1))
+    env = np.maximum.accumulate(env[::-1])[::-1]
+    if env[0] == 0:
+        return 0
+    env /= env[0]
+    # Plateau: the first j (1-based, as in the paper) at which the envelope
+    # is below tol^(2/3) and flat from j to j2 = round(1.25 j + 5).
+    j = np.arange(2, n + 1)
+    j2 = (1.25 * j + 5.5).astype(int)
+    j, j2 = j[j2 <= n], j2[j2 <= n]
+    e1, e2 = env[j - 1], env[j2 - 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        plateau = (e1 == 0) | (e2 / e1 > 3 * (1 - np.log(e1) / np.log(_EPS)))
+    hits = np.flatnonzero(plateau)
+    if hits.size == 0:
+        return d.degree
+    plateau_point, j2 = j[hits[0]] - 1, j2[hits[0]]
+    if env[plateau_point - 1] == 0:
+        return plateau_point - 1
+    # Cut where the envelope up to j2, tilted up by a line that favours
+    # shorter series, is least; the first entry below tol^(7/6) counts as
+    # tol^(7/6) and ends the search.
+    floor = _EPS ** (7 / 6)
+    j3 = np.count_nonzero(env >= floor)
+    head = env[: min(j2, j3 + 1)]
+    head[j3:] = floor
+    tilted = np.log10(head) + np.linspace(0, -np.log10(_EPS) / 3, head.size)
+    return max(int(np.argmin(tilted)), 1) - 1
+
+
 def fuse(m1: ChebDensity, m2: ChebDensity) -> ChebDensity:
     """Conjunctive fusion of two normalized interval densities.
 
@@ -269,30 +340,40 @@ def fuse(m1: ChebDensity, m2: ChebDensity) -> ChebDensity:
     because the loose endpoint of one operand only ranges over a product
     region.  Ties on the boundary have measure zero.
 
-    Each factor has degree <= n+1 per axis, so each product has degree
-    <= 2n+1; on an (M+1)^2 Lobatto grid the DCT-I folds a mode k > M onto
-    2M - k, which lies above n whenever 2M > 3n+1, so products sampled on
-    that grid (Orszag's 3/2 rule) and truncated to degree n are exact.
+    Inputs of unequal degree are zero-padded to the larger one, n.  The
+    terms are formed from the leading (k+1)^2 coefficients, k the larger
+    :func:`chop` degree of the two, so each factor has degree <= k+1 per
+    axis and each product degree <= 2k+1.  On an (M+1)^2 Lobatto grid the
+    DCT-I folds a mode p > M onto 2M - p, which lies above the kept degree
+    K = min(n, 2k+1) whenever 2M > 2k+1+K; products sampled on the smallest
+    fast such grid (Orszag's 3/2 rule, 2M > 3n+1 at k = n) and truncated to
+    degree K are exact, and the result is zero-padded to degree n.
     """
-    if m1.degree != m2.degree:
-        raise ValueError(f"degree mismatch: {m1.degree} vs {m2.degree}")
     _require_normalized(m1)
     _require_normalized(m2)
-    n = m1.degree
-    size = _alias_free_size(n)
+    n = max(m1.degree, m2.degree)
+    m1, m2 = (m if m.degree == n else ChebDensity(_pad(m.coeffs, n + 1)) for m in (m1, m2))
+    k = max(chop(m1), chop(m2))
+    keep = min(n, 2 * k + 1)
+    size = _alias_free_size(k, keep)
     total = np.zeros((size + 1, size + 1))
     for a, b in ((m1, m2), (m2, m1)):
-        pa = _axis_cumulative(a.coeffs, axis=0, full_at=1)      # P_a
-        qb = _axis_cumulative(b.coeffs, axis=1, full_at=-1)     # Q_b
-        fb = _axis_cumulative(qb, axis=0, full_at=1)            # F_b
-        total += _coeffs_to_values(a.coeffs, size) * _coeffs_to_values(fb, size)
+        ca, cb = a.coeffs[: k + 1, : k + 1], b.coeffs[: k + 1, : k + 1]
+        pa = _axis_cumulative(ca, axis=0, full_at=1)      # P_a
+        qb = _axis_cumulative(cb, axis=1, full_at=-1)     # Q_b
+        fb = _axis_cumulative(qb, axis=0, full_at=1)      # F_b
+        total += _coeffs_to_values(ca, size) * _coeffs_to_values(fb, size)
         total += _coeffs_to_values(pa, size) * _coeffs_to_values(qb, size)
-    return ChebDensity(_values_to_coeffs(total, n))
+    return ChebDensity(_pad(_values_to_coeffs(total, keep), n + 1))
 
 
-def _alias_free_size(n: int) -> int:
-    """Smallest M with 2M > 3n+1 and 2M 5-smooth, a fast DCT-I length."""
-    m = (3 * n + 3) // 2
+def _alias_free_size(k: int, keep: int | None = None) -> int:
+    """Smallest M with 2M > 2k+1+keep and 2M 5-smooth, a fast DCT-I length.
+
+    On that grid, products of degree <= 2k+1 alias onto none of their first
+    keep+1 modes; ``keep`` defaults to k, the 3/2 rule 2M > 3k+1.
+    """
+    m = (2 * k + 1 + (k if keep is None else keep)) // 2 + 1
     while True:
         r = 2 * m
         for p in (2, 3, 5):

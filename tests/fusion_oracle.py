@@ -1,11 +1,13 @@
-"""Reference spectral fusion: the doubled-grid ``fuse`` and ``chebint`` antiderivative.
+"""Reference spectral fusion: full-degree and doubled-grid ``fuse``, ``chebint`` antiderivative.
 
-``chebfusion.fuse`` forms its products on a 3/2-rule grid with zero-aware,
-truncating transforms, and ``chebfusion._axis_cumulative`` uses a vectorized
-recurrence.  This module keeps the straightforward versions they replaced:
-products sampled on the (2n+1)^2 Lobatto grid, where no mode of degree
-<= 2n+1 can alias into the kept ones, and antiderivatives from
-``numpy.polynomial.chebyshev.chebint``.  Tests compare the two to round-off.
+``chebfusion.fuse`` forms its products from the inputs' chopped leading
+blocks on a 3/2-rule grid with zero-aware, truncating transforms, and
+``chebfusion._axis_cumulative`` uses a vectorized recurrence.  This module
+keeps the versions they replaced: ``fuse_full``, the same 3/2-rule fusion at
+the full input degree; ``fuse``, products sampled on the (2n+1)^2 Lobatto
+grid, where no mode of degree <= 2n+1 can alias into the kept ones; and
+antiderivatives from ``numpy.polynomial.chebyshev.chebint``.  Tests compare
+them to round-off, and ``fuse_full`` bit for bit on inputs that do not chop.
 """
 
 from __future__ import annotations
@@ -75,3 +77,21 @@ def fuse(m1: cf.ChebDensity, m2: cf.ChebDensity) -> cf.ChebDensity:
         total += padded_values(pa) * padded_values(qb)
     coeffs = values_to_coeffs(total)
     return cf.ChebDensity(coeffs[: n + 1, : n + 1].copy())
+
+
+def fuse_full(m1: cf.ChebDensity, m2: cf.ChebDensity) -> cf.ChebDensity:
+    """Four-term conjunctive fusion of the full series on the 3/2-rule grid."""
+    if m1.degree != m2.degree:
+        raise ValueError(f"degree mismatch: {m1.degree} vs {m2.degree}")
+    cf._require_normalized(m1)
+    cf._require_normalized(m2)
+    n = m1.degree
+    size = cf._alias_free_size(n)
+    total = np.zeros((size + 1, size + 1))
+    for a, b in ((m1, m2), (m2, m1)):
+        pa = cf._axis_cumulative(a.coeffs, axis=0, full_at=1)      # P_a
+        qb = cf._axis_cumulative(b.coeffs, axis=1, full_at=-1)     # Q_b
+        fb = cf._axis_cumulative(qb, axis=0, full_at=1)            # F_b
+        total += cf._coeffs_to_values(a.coeffs, size) * cf._coeffs_to_values(fb, size)
+        total += cf._coeffs_to_values(pa, size) * cf._coeffs_to_values(qb, size)
+    return cf.ChebDensity(cf._values_to_coeffs(total, n))

@@ -214,14 +214,17 @@ def test_fuse_command_roundtrip(tmp_path, capsys):
     assert np.allclose(cf.load_coeffs(out).coeffs, direct.coeffs)
 
 
-def test_fuse_command_rejects_mismatched_degrees(tmp_path, capsys):
+def test_fuse_command_accepts_mismatched_degrees(tmp_path, capsys):
     a = tmp_path / "a.cheb"
     b = tmp_path / "b.cheb"
+    out = tmp_path / "f.cheb"
     cf.save_coeffs(cf.normalize(cf.fit(cf.gaussian(-1, 0), 32)), a)
     cf.save_coeffs(cf.normalize(cf.fit(cf.gaussian(0, 1), 16)), b)
-    code, _, err = run(capsys, "fuse", str(a), str(b), "--out", str(tmp_path / "f"))
-    assert code == cli.EXIT_NUMERIC
-    assert err
+    code, _, err = run(capsys, "fuse", str(a), str(b), "--out", str(out))
+    assert code == 0, err
+    fused = cf.load_coeffs(out)
+    assert fused.degree == 32
+    assert np.array_equal(fused.coeffs, cf.fuse(cf.load_coeffs(a), cf.load_coeffs(b)).coeffs)
 
 
 def test_belief_command_whole_domain(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -240,6 +241,66 @@ def test_belief_surface_is_built_once(monkeypatch):
     assert beliefs == [cf.evaluate(fresh, lo, hi) for lo, hi in points]
 
 
+def test_trailing_zero_coefficients_change_no_value(m1):
+    # evaluate and the belief surface run on the leading nonzero block, so a
+    # zero-padded copy gives the same values and a padded surface.
+    padded = cf.ChebDensity(np.pad(m1.coeffs, (0, 71)))
+    assert np.array_equal(padded._block, m1.coeffs)
+    rng = np.random.default_rng(5)
+    x, y = rng.uniform(-1, 1, (2, 500))
+    assert np.max(np.abs(cf.evaluate(padded, x, y) - cf.evaluate(m1, x, y))) <= 1e-15
+    axis, values = cf.grid_samples(padded, 33)
+    assert np.max(np.abs(values - cf.grid_samples(m1, 33)[1])) <= 1e-15
+    assert abs(cf.evaluate(padded, x[0], y[0]) - cf.evaluate(m1, x[0], y[0])) <= 1e-15
+    surface, plain = cf.belief_surface(padded), cf.belief_surface(m1)
+    assert surface.degree == padded.degree + 1
+    assert np.array_equal(surface.coeffs[: m1.degree + 2, : m1.degree + 2], plain.coeffs)
+    assert not surface.coeffs[m1.degree + 2 :].any() and not surface.coeffs[:, m1.degree + 2 :].any()
+    for lo, hi in zip(x[:8], y[:8]):
+        iv = cf.GeneralizedInterval(lo, hi)
+        assert abs(cf.belief(padded, iv) - cf.belief(m1, iv)) <= 1e-15
+
+
+@pytest.mark.parametrize("degree", [16, 17, 31, 64, 128, 257, 512])
+def test_chop_keeps_full_spectrum_series(degree):
+    rng = np.random.default_rng(degree)
+    assert cf.chop(cf.ChebDensity(rng.standard_normal((degree + 1, degree + 1)))) == degree
+
+
+def test_chop_keeps_every_series_below_degree_16():
+    rng = np.random.default_rng(15)
+    for degree in range(16):
+        assert cf.chop(cf.ChebDensity(rng.standard_normal((degree + 1, degree + 1)))) == degree
+        c = np.zeros((degree + 1, degree + 1))
+        c[0, 0] = 0.25
+        assert cf.chop(cf.ChebDensity(c)) == degree
+
+
+@pytest.mark.parametrize("degree", [16, 17, 64, 512])
+def test_chop_cuts_a_constant_to_degree_0(degree):
+    c = np.zeros((degree + 1, degree + 1))
+    c[0, 0] = 0.25
+    assert cf.chop(cf.ChebDensity(c)) == 0
+    assert cf.chop(cf.ChebDensity(np.zeros((degree + 1, degree + 1)))) == 0
+
+
+def test_chop_finds_the_same_degree_at_any_fitted_degree():
+    for f in (MM1, MM2):
+        k128 = cf.chop(cf.normalize(cf.fit(f, 128)))
+        assert 16 <= k128 < 64
+        assert cf.chop(cf.normalize(cf.fit(f, 512))) == k128
+
+
+def test_chop_at_degree_512_takes_about_a_millisecond():
+    d = cf.normalize(cf.fit(MM1, 512))
+    times = []
+    for _ in range(50):
+        start = time.perf_counter()
+        cf.chop(d)
+        times.append(time.perf_counter() - start)
+    assert min(times) <= 1e-3
+
+
 def test_density_equality_and_hash_are_by_identity():
     d = cf.ChebDensity([[0.25, 0], [0, 0]])
     twin = cf.ChebDensity([[0.25, 0], [0, 0]])
@@ -281,9 +342,13 @@ def test_fuse_commutes(m1, m2):
     assert np.abs(f12.coeffs - f21.coeffs).max() < 1e-10
 
 
-def test_fuse_degree_mismatch(m1):
-    with pytest.raises(ValueError):
-        cf.fuse(m1, cf.normalize(cf.fit(MM2, 64)))
+def test_fuse_pads_the_lower_degree_input(m1):
+    low = cf.normalize(cf.fit(MM2, 64))
+    padded = cf.ChebDensity(np.pad(low.coeffs, (0, m1.degree - low.degree)))
+    for pair, padded_pair in (((m1, low), (m1, padded)), ((low, m1), (padded, m1))):
+        fused = cf.fuse(*pair)
+        assert fused.degree == m1.degree
+        assert np.array_equal(fused.coeffs, cf.fuse(*padded_pair).coeffs)
 
 
 def test_fuse_matches_grid_oracle():

@@ -27,6 +27,38 @@ def test_fuse_matches_doubled_grid_oracle():
         want = fusion_oracle.fuse(m1, m2).coeffs
         scale = np.max(np.abs(want))
         assert np.max(np.abs(got - want)) <= 1e-14 * scale, f"degree {n}"
+        # no round-off plateau, so no chop: the full-degree fusion bit for bit
+        assert np.array_equal(got, fusion_oracle.fuse_full(m1, m2).coeffs), f"degree {n}"
+
+
+@pytest.mark.parametrize("m, n", [(16, 64), (20, 41), (40, 128)])
+def test_fuse_of_zero_padded_series_matches_full_degree_fuse(m, n):
+    # An exact zero tail chops to the last nonzero degree m, and the fused
+    # series keeps every mode up to 2m+1 (at (20, 41) that is all of them).
+    rng = np.random.default_rng(m + n)
+    m1, m2 = (cf.ChebDensity(np.pad(random_density(rng, m).coeffs, (0, n - m))) for _ in range(2))
+    assert cf.chop(m1) == cf.chop(m2) == m
+    got = cf.fuse(m1, m2).coeffs
+    want = fusion_oracle.fuse_full(m1, m2).coeffs
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    assert np.any(got[2 * m + 1]) and not np.any(got[2 * m + 2 :])
+
+
+@pytest.mark.parametrize("degree", [128, 512])
+def test_chopped_fuse_matches_full_degree_fuse_on_gaussians(degree):
+    rng = np.random.default_rng(degree)
+    pairs = [((-1.0, 0.0), (0.0, 1.0))]  # the fuse-demo pair
+    pairs += [tuple(tuple(rng.uniform(-1, 1, 2)) for _ in range(2)) for _ in range(3)]
+    for c1, c2 in pairs:
+        m1, m2 = (cf.normalize(cf.fit(cf.gaussian(*c), degree)) for c in (c1, c2))
+        assert max(cf.chop(m1), cf.chop(m2)) < degree // 4
+        got = cf.fuse(m1, m2)
+        want = fusion_oracle.fuse_full(m1, m2)
+        assert got.degree == degree
+        assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-15, (c1, c2)
+        for lo, hi in rng.uniform(-1, 1, (8, 2)):
+            iv = cf.GeneralizedInterval(lo, hi)
+            assert abs(cf.belief(got, iv) - cf.belief(want, iv)) <= 1e-15, (c1, c2, lo, hi)
 
 
 @pytest.mark.parametrize("n", [1, 3, 5])
@@ -62,6 +94,11 @@ def test_alias_free_size_is_the_smallest_fast_alias_free_grid():
         m = cf._alias_free_size(n)
         assert 2 * m > 3 * n + 1 and _five_smooth(2 * m)
         assert not any(2 * k > 3 * n + 1 and _five_smooth(2 * k) for k in range(m))
+        assert cf._alias_free_size(n, n) == m
+    for k, keep in ((0, 0), (0, 1), (24, 49), (28, 57), (100, 128)):
+        m = cf._alias_free_size(k, keep)
+        assert 2 * m > 2 * k + 1 + keep and _five_smooth(2 * m)
+        assert not any(2 * j > 2 * k + 1 + keep and _five_smooth(2 * j) for j in range(m))
 
 
 def _five_smooth(k):
