@@ -54,10 +54,6 @@ def _over_common_denominator(values: list) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def _reps_by_key(algebra: Quotient) -> dict[int, Proposition]:
-    return {algebra.key(rep): rep for rep in algebra.representatives}
-
-
 def _below(num: Mapping[int, object], K: int):
     """Sum of the numerators whose keys lie inside K."""
     outside = ~K
@@ -153,7 +149,7 @@ class FiniteBba:
     def mass(self) -> Mapping[Proposition, object]:
         """Read-only map from class representatives to their masses."""
         if self._mass is None:
-            rep = _reps_by_key(self.algebra)
+            rep = self.algebra.rep_by_key
             self._mass = MappingProxyType(
                 {rep[k]: v for k, v in self._values().items()}
             )
@@ -175,7 +171,7 @@ class FiniteBba:
 
 
 def _name(algebra: Quotient, k: int) -> str:
-    return format_proposition(_reps_by_key(algebra)[k])
+    return format_proposition(algebra.rep_by_key[k])
 
 
 def bel(m: FiniteBba, phi: Proposition):
@@ -224,7 +220,7 @@ def bba_from_bel(
         if mv < 0:
             value = Fraction(mv, den) if exact else mv
             if value < -MASS_TOL:
-                raise InconsistentBelief(_reps_by_key(algebra)[K], value)
+                raise InconsistentBelief(algebra.rep_by_key[K], value)
         elif mv > 0:
             mass[K] = mv
     return FiniteBba._from_keys(algebra, mass.items(), den, exact, exhaustive)

@@ -13,13 +13,19 @@ checks that theorem as the one identity it comes down to: the order
 constraints' kept mask is the interval bits plus bit ∅.  A passing check
 lists no staircase: both counts are then the Catalan number C_{n+1} minus
 one.
+
+The continuous model of :mod:`dsmfuse.chebfusion` is this one on a
+continuum.  :func:`interval` gives the generalized interval [lo, hi] as a
+proposition; its staircase is {(i, j): i <= hi, j >= lo}, so the meet of
+[l1, h1] and [l2, h2] is [max(l1, l2), min(h1, h2)], as in
+``chebfusion.interval_meet``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from . import prebool
@@ -43,8 +49,7 @@ class Staircase:
 
     Bit {i..j} of ``table``, indexed as in ``Proposition.table``, is set iff
     (i, j) belongs to the staircase.  Increasing means up-closed: with (i, j)
-    every (a, b) with a <= i and b >= j belongs too.  Equality and hashing
-    look at ``n`` and ``table`` only.
+    every (a, b) with a <= i and b >= j belongs too.
     """
 
     n: int
@@ -61,46 +66,6 @@ class Staircase:
         if prebool.grow(self.n, t) & triangle & ~t:
             raise ValueError("staircase must be up-closed")
 
-    def pairs(self) -> frozenset[tuple[int, int]]:
-        """Explicit pair-set view: (i, j) for every i up to column j's threshold."""
-        return frozenset(
-            (i, j)
-            for j, t in enumerate(self.thresholds)
-            if t is not None
-            for i in range(t + 1)
-        )
-
-    @cached_property
-    def thresholds(self) -> tuple[int | None, ...]:
-        """Per column j, the largest i with (i, j) present, or None if none is."""
-        return tuple(
-            max(
-                (i for i in range(j + 1) if self.table >> _interval(i, j) & 1),
-                default=None,
-            )
-            for j in range(self.n)
-        )
-
-
-def point(x: int, n: int) -> Staircase:
-    """The staircase modelling the single atom a{x}: pairs (i, j), i <= x <= j."""
-    return smile(prebool.atom_prop(n, x))
-
-
-def stair_meet(s1: Staircase, s2: Staircase) -> Staircase | None:
-    """Intersection: the tables' ``&``; None when empty."""
-    if s1.n != s2.n:
-        raise ValueError("mixed staircase sizes")
-    t = s1.table & s2.table
-    return Staircase(s1.n, t) if t else None
-
-
-def stair_join(s1: Staircase, s2: Staircase) -> Staircase:
-    """Union: the tables' ``|``."""
-    if s1.n != s2.n:
-        raise ValueError("mixed staircase sizes")
-    return Staircase(s1.n, s1.table | s2.table)
-
 
 def order_constraints(n: int) -> ConstraintSet:
     """Discarding constraints ai & aj & ak = ai & ak for all i <= j <= k."""
@@ -110,6 +75,14 @@ def order_constraints(n: int) -> ConstraintSet:
     for i, j, k in combinations_with_replacement(range(n), 3):
         pairs.append((varphi(n, [{i, j, k}]), varphi(n, [{i, k}])))
     return ConstraintSet(tuple(pairs))
+
+
+def interval(n: int, lo: int, hi: int) -> Proposition:
+    """The generalized interval [lo, hi] over n ordered atoms.
+
+    ``a{lo} | ... | a{hi}`` when lo <= hi, and ``a{hi} & a{lo}`` otherwise.
+    """
+    return varphi(n, [{i} for i in range(lo, hi + 1)] if lo <= hi else [{hi, lo}])
 
 
 def smile(p: Proposition) -> Staircase:
@@ -186,15 +159,3 @@ def verify_isomorphism(
         counterexamples=problems[:20],
     )
 
-
-def format_staircase(s: Staircase) -> str:
-    """Dump format: ``j:t(j)`` per defined column, space separated."""
-    return " ".join(
-        f"{j}:{t}" for j, t in enumerate(s.thresholds) if t is not None
-    )
-
-
-def render_staircase(s: Staircase) -> str:
-    """ASCII grid; row j (second coordinate) from top, '#' marks membership."""
-    widths = (0 if t is None else t + 1 for t in reversed(s.thresholds))
-    return "\n".join("#" * w + "." * (s.n - w) for w in widths)

@@ -240,7 +240,8 @@ class Quotient:
     than the free algebra is a sublattice of it, and distributive lattices
     have the congruence extension property, so the mask still gives its least
     congruence.  Class representatives are the minimum members under
-    :func:`prop_key`, so output is reproducible.
+    :func:`prop_key`, so output is reproducible; ``rep_by_key`` maps each
+    class key to its representative.
 
     The universe must hold BOTTOM and TOP and be closed under meet and join.
     With ``least[x]`` the meet of the members whose table holds atom set x
@@ -293,7 +294,7 @@ class Quotient:
         # Member lists follow prop_key order, so the first member of each
         # class is its representative, and classes are inserted in
         # representative order.
-        self._rep = {key: group[0] for key, group in members.items()}
+        self.rep_by_key = {key: group[0] for key, group in members.items()}
         self.classes: dict[Proposition, frozenset[Proposition]] = {
             group[0]: frozenset(group) for group in members.values()
         }
@@ -312,13 +313,13 @@ class Quotient:
 
     def class_of(self, p: Proposition) -> Proposition:
         """Representative of p's congruence class."""
-        return self._rep[self.key(p)]
+        return self.rep_by_key[self.key(p)]
 
     def meet(self, p: Proposition, q: Proposition) -> Proposition:
-        return self._rep[self.key(p) & self.key(q)]
+        return self.rep_by_key[self.key(p) & self.key(q)]
 
     def join(self, p: Proposition, q: Proposition) -> Proposition:
-        return self._rep[self.key(p) | self.key(q)]
+        return self.rep_by_key[self.key(p) | self.key(q)]
 
     def leq(self, p: Proposition, q: Proposition) -> bool:
         return not self.key(p) & ~self.key(q)

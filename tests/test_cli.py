@@ -109,6 +109,17 @@ def test_ordered_report_at_n12(capsys):
     assert out.splitlines() == ["classes: 742899", "staircases: 742899", "PASS"]
 
 
+# Catalan(k + 1) - 1 for k = 1..12 atoms.
+ORDERED_COUNTS = [1, 4, 13, 41, 131, 428, 1429, 4861, 16795, 58785, 208011, 742899]
+
+
+@pytest.mark.parametrize("k, count", enumerate(ORDERED_COUNTS, start=1))
+def test_ordered_golden_output(k, count, capsys):
+    code, out, err = run(capsys, "ordered", "-n", str(k), "--max-atoms", "12")
+    assert (code, err) == (0, "")
+    assert out == f"classes: {count}\nstaircases: {count}\nPASS\n"
+
+
 def test_ordered_fail_path(monkeypatch, capsys):
     # Without a0 & a1 & a2 = a0 & a2 the atom set {a0, a2} survives the
     # congruence although it is no interval.

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from dsmfuse import chebfusion as cf
 
 import demo_closed_form as dcf
+import fusion_oracle
 
 MM1 = cf.gaussian(-1.0, 0.0)
 MM2 = cf.gaussian(0.0, 1.0)
@@ -27,34 +28,16 @@ def midpoint_quadrature(f, g=400):
 
 
 def grid_fusion_oracle(m1, m2, g):
-    """Discrete conjunctive fusion on a cell grid, via separable prefix sums.
+    """Discrete conjunctive fusion on a g x g cell grid.
 
-    Each cell is an atomic interval with mass density * area; a pair of cells
-    lands on (max of the x indices, min of the y indices).  Splitting on
-    which operand attains the extremes gives four prefix-sum terms.
+    Each cell is an atomic interval with mass density * area, and the cell
+    masses are fused by :func:`fusion_oracle.cell_fusion`.
     """
     h = 2.0 / g
     ax = -1 + (np.arange(g) + 0.5) * h
     a1 = cf.evaluate(m1, ax[:, None], ax[None, :]) * h * h
     a2 = cf.evaluate(m2, ax[:, None], ax[None, :]) * h * h
-
-    def lower_incl(a):  # sum over x' <= x
-        return np.cumsum(a, axis=0)
-
-    def upper_incl(a):  # sum over y' >= y
-        return np.cumsum(a[:, ::-1], axis=1)[:, ::-1]
-
-    def box(a):  # sum over x' <= x, y' >= y
-        return np.cumsum(upper_incl(a), axis=0)
-
-    upper_strict_1 = upper_incl(a1) - a1
-    fused = (
-        a1 * box(a2)
-        + upper_strict_1 * lower_incl(a2)
-        + (lower_incl(a1) - a1) * upper_incl(a2)
-        + (np.cumsum(upper_strict_1, axis=0) - upper_strict_1) * a2
-    )
-    return ax, fused / (h * h)
+    return ax, fusion_oracle.cell_fusion(a1, a2) / (h * h)
 
 
 @pytest.fixture(scope="module")
@@ -359,6 +342,18 @@ def test_fuse_matches_grid_oracle():
     spectral = cf.evaluate(fused, ax[:, None], ax[None, :])
     assert np.abs(spectral - oracle).max() < 1e-2
 
+
+
+def test_grid_oracle_converges_at_second_order(m1, m2):
+    # The cell-grid fusion approaches the spectral one as the grid refines:
+    # each halving of the cell width cuts the max error about fourfold.
+    fused = cf.fuse(m1, m2)
+    errors = []
+    for g in (25, 50, 100, 200):
+        ax, oracle = grid_fusion_oracle(m1, m2, g)
+        spectral = cf.evaluate(fused, ax[:, None], ax[None, :])
+        errors.append(np.abs(spectral - oracle).max())
+    assert all(coarse / fine >= 3.5 for coarse, fine in zip(errors, errors[1:]))
 
 def test_fused_density_moves_toward_agreement(m1, m2):
     fused = cf.fuse(m1, m2)

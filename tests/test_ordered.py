@@ -1,12 +1,15 @@
 import random
 from fractions import Fraction
+from itertools import product
 
+import numpy as np
 import pytest
 
 from dsmfuse import belief as bf
 from dsmfuse import ordered as od
 from dsmfuse import prebool as pb
 
+import fusion_oracle
 import staircase_oracle as so
 
 
@@ -40,27 +43,27 @@ def test_order_constraints_n2_quotient_is_free():
     assert len(q.representatives) == 6
 
 
+def point(x, n):
+    """The staircase of the single atom a{x}, the interval [x, x]."""
+    return od.smile(od.interval(n, x, x))
+
+
 def test_point_examples():
-    s = od.point(1, 3)
-    assert s.pairs() == {(0, 1), (1, 1), (0, 2), (1, 2)}
-    assert od.point(0, 3).thresholds == (0, 0, 0)
-    m = od.stair_meet(od.point(0, 3), od.point(2, 3))
-    assert m is not None and m.pairs() == {(0, 2)}
+    assert point(1, 3).table == so.table_of({(0, 1), (1, 1), (0, 2), (1, 2)})
+    assert point(0, 3).table == so.table_of(so.pairs_of((0, 0, 0)))
+    assert point(0, 3).table & point(2, 3).table == so.table_of({(0, 2)})
 
 
 def test_point_out_of_range():
-    with pytest.raises(ValueError):
-        od.point(3, 3)
+    for lo, hi in ((3, 3), (-1, 0), (2, 3), (3, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            od.interval(3, lo, hi)
 
 
 def test_stair_meet_join_basics():
-    s = od.smile(pb.varphi(3, [{0}, {1, 2}]))
-    assert od.stair_join(s, s) == s
-    sm = od.stair_meet(s, s)
-    assert sm == s
-    # three-point meet collapses to the extremes
-    p0, p1, p2 = (od.point(i, 3) for i in range(3))
-    assert od.stair_meet(od.stair_meet(p0, p1), p2) == od.stair_meet(p0, p2)
+    # three-point meet collapses to the extremes, the interval [2, 0]
+    p0, p1, p2 = (point(i, 3).table for i in range(3))
+    assert p0 & p1 & p2 == p0 & p2 == od.smile(od.interval(3, 2, 0)).table
 
 
 def test_stair_meet_matches_pair_intersection():
@@ -69,18 +72,16 @@ def test_stair_meet_matches_pair_intersection():
     universe = [p for p in pb.enumerate_hyperpower(n) if not (p.is_bottom or p.is_top)]
     for _ in range(50):
         p, q = rng.choice(universe), rng.choice(universe)
-        sp, sq = od.smile(p), od.smile(q)
-        inter = sp.pairs() & sq.pairs()
-        sm = od.stair_meet(sp, sq)
-        assert (sm.pairs() if sm else frozenset()) == inter
-        assert od.stair_join(sp, sq).pairs() == sp.pairs() | sq.pairs()
+        sp, sq = smile_pairs(p, n), smile_pairs(q, n)
+        tp, tq = od.smile(p).table, od.smile(q).table
+        assert tp & tq == so.table_of(sp & sq)
+        assert tp | tq == so.table_of(sp | sq)
 
 
 def test_smile_examples():
-    s = od.smile(pb.varphi(3, [{0, 2}]))
-    assert s.pairs() == {(0, 2)}
+    assert od.smile(pb.varphi(3, [{0, 2}])).table == so.table_of({(0, 2)})
     s = od.smile(pb.varphi(3, [{0}, {1}]))
-    assert s.thresholds == (0, 1, 1)
+    assert s.table == so.table_of(so.pairs_of((0, 1, 1)))
 
 
 def test_smile_rejects_constants():
@@ -95,7 +96,7 @@ def test_smile_matches_pair_oracle():
         for p in pb.enumerate_hyperpower(n):
             if p.is_bottom or p.is_top:
                 continue
-            assert od.smile(p).pairs() == smile_pairs(p, n)
+            assert od.smile(p).table == so.table_of(smile_pairs(p, n))
 
 
 def test_smile_is_morphism():
@@ -104,8 +105,9 @@ def test_smile_is_morphism():
     universe = [p for p in pb.enumerate_hyperpower(n) if not (p.is_bottom or p.is_top)]
     for _ in range(100):
         p, q = rng.choice(universe), rng.choice(universe)
-        assert od.smile(pb.meet(p, q)) == od.stair_meet(od.smile(p), od.smile(q))
-        assert od.smile(pb.join(p, q)) == od.stair_join(od.smile(p), od.smile(q))
+        sp, sq = od.smile(p).table, od.smile(q).table
+        assert od.smile(pb.meet(p, q)).table == sp & sq
+        assert od.smile(pb.join(p, q)).table == sp | sq
 
 
 def test_every_staircase_is_a_smile_image():
@@ -116,9 +118,10 @@ def test_every_staircase_is_a_smile_image():
             for p in pb.enumerate_hyperpower(n)
             if not (p.is_bottom or p.is_top)
         }
-        for s in od.enumerate_staircases(n):
+        for t in so.enumerate_staircases(n):
+            s = od.Staircase(n, so.table_of(so.pairs_of(t)))
             assert s in images
-            rebuilt = pb.varphi(n, [{a, b} for a, b in s.pairs()])
+            rebuilt = pb.varphi(n, [{a, b} for a, b in so.pairs_of(t)])
             assert od.smile(rebuilt) == s
 
 
@@ -185,16 +188,10 @@ def test_staircase_validation():
     for n, table in ((2, 1), (3, 1 << 0b101), (2, 1 << 0b100), (2, -1)):
         with pytest.raises(ValueError, match="outside the triangle"):
             od.Staircase(n, table | so.table_of([(0, n - 1)]))
-    assert od.Staircase(3, so.table_of([(0, 1), (0, 2), (1, 2)])).thresholds == (
-        None, 0, 1,
-    )
-
-
-def test_staircase_dump_and_render():
-    s = od.point(1, 3)
-    assert od.format_staircase(s) == "1:1 2:1"
-    grid = od.render_staircase(s).splitlines()
-    assert grid == ["##.", "##.", "..."]
+    # thresholds (None, 0, 1) construct
+    pairs = {(0, 1), (0, 2), (1, 2)}
+    assert so.pairs_of((None, 0, 1)) == pairs
+    od.Staircase(3, so.table_of(pairs))
 
 
 def test_belief_ops_run_on_ordered_quotient():
@@ -208,3 +205,40 @@ def test_belief_ops_run_on_ordered_quotient():
     assert sum(fused.mass.values()) == 1
     recovered = bf.bba_from_bel(q, bf.bel_table(m))
     assert recovered.mass == m.mass
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_interval_staircase(n):
+    # [lo, hi] is the staircase {(i, j): i <= hi, j >= lo}; [x, x] is a{x}.
+    for lo, hi in product(range(n), repeat=2):
+        pairs = {(i, j) for j in range(lo, n) for i in range(min(hi, j) + 1)}
+        assert od.smile(od.interval(n, lo, hi)).table == so.table_of(pairs)
+    for x in range(n):
+        assert od.interval(n, x, x) == pb.atom_prop(n, x)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_intervals_are_the_order_quotient(n):
+    # The order quotient's intervals meet as generalized intervals do, and
+    # exact fusion of interval masses is the cell-grid fusion, cell (lo, hi)
+    # holding the mass of [lo, hi].
+    q = pb.quotient(pb.enumerate_hyperpower(n, max_atoms=5), od.order_constraints(n))
+    cells = list(product(range(n), repeat=2))
+    P = {c: od.interval(n, *c) for c in cells}
+    assert len({q.class_of(p) for p in P.values()}) == n * n
+    for (l1, h1), (l2, h2) in product(cells, repeat=2):
+        meet = q.meet(P[l1, h1], P[l2, h2])
+        assert meet == q.class_of(P[max(l1, l2), min(h1, h2)])
+
+    rng = random.Random(n)
+    arrays = []
+    for _ in range(2):
+        weights = np.array(
+            [[Fraction(rng.randint(1, 9)) for _ in range(n)] for _ in range(n)],
+            dtype=object,
+        )
+        arrays.append(weights / weights.sum())
+    m1, m2 = (bf.FiniteBba(q, {P[c]: a[c] for c in cells}) for a in arrays)
+    fused = fusion_oracle.cell_fusion(*arrays)
+    assert all(isinstance(v, Fraction) for v in fused.flat)
+    assert bf.fuse(m1, m2).mass == {q.class_of(P[c]): fused[c] for c in cells}

@@ -1,4 +1,8 @@
-"""Differential test: interval-bit staircases against threshold tuples."""
+"""Differential test: interval-bit staircases against threshold tuples.
+
+Every comparison is on truth-table bits: the oracle's threshold tuples go
+through ``so.table_of(so.pairs_of(t))``.
+"""
 
 from math import comb
 
@@ -10,6 +14,11 @@ from dsmfuse import prebool as pb
 import staircase_oracle as so
 
 
+def table(t):
+    """Truth-table bits of an oracle threshold tuple; 0 for the empty meet."""
+    return 0 if t is None else so.table_of(so.pairs_of(t))
+
+
 def nontrivial(n):
     return [p for p in pb.enumerate_hyperpower(n) if not (p.is_bottom or p.is_top)]
 
@@ -17,9 +26,7 @@ def nontrivial(n):
 @pytest.mark.parametrize("n", range(1, 5))
 def test_smile_matches_threshold_oracle(n):
     for p in nontrivial(n):
-        s = od.smile(p)
-        assert s.thresholds == so.smile(p)
-        assert s.pairs() == so.pairs_of(so.smile(p))
+        assert od.smile(p).table == table(so.smile(p))
 
 
 @pytest.mark.parametrize("n", range(1, 5))
@@ -27,22 +34,20 @@ def test_meet_join_match_threshold_oracle(n):
     stairs = [(od.smile(p), so.smile(p)) for p in nontrivial(n)]
     for s1, t1 in stairs:
         for s2, t2 in stairs:
-            sm, tm = od.stair_meet(s1, s2), so.meet(t1, t2)
-            assert (sm and sm.thresholds) == tm
-            assert od.stair_join(s1, s2).thresholds == so.join(t1, t2)
+            assert s1.table & s2.table == table(so.meet(t1, t2))
+            assert s1.table | s2.table == table(so.join(t1, t2))
 
 
 @pytest.mark.parametrize("n", range(1, 5))
 def test_point_matches_threshold_oracle(n):
     for x in range(n):
-        assert od.point(x, n).thresholds == so.point(x, n)
+        assert od.smile(od.interval(n, x, x)).table == table(so.point(x, n))
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_enumeration_matches_brute_force(n):
-    brute = so.enumerate_staircases(n)
-    brute.sort(key=lambda t: so.table_of(so.pairs_of(t)))
-    assert [s.thresholds for s in od.enumerate_staircases(n)] == brute
+    brute = sorted(table(t) for t in so.enumerate_staircases(n))
+    assert [s.table for s in od.enumerate_staircases(n)] == brute
 
 
 @pytest.mark.parametrize("n", range(1, 5))
@@ -66,15 +71,3 @@ def test_count_is_catalan_minus_one():
     assert counts == [comb(2 * n + 2, n + 1) // (n + 2) - 1 for n in range(1, 8)]
     assert counts == [1, 4, 13, 41, 131, 428, 1429]
 
-
-@pytest.mark.parametrize("n", range(1, 5))
-def test_render_matches_pair_grid(n):
-    # render_staircase reads the thresholds; the brute-force pair grid is its oracle.
-    for t in so.enumerate_staircases(n):
-        pairs = so.pairs_of(t)
-        grid = [
-            "".join("#" if (i, j) in pairs else "." for i in range(n))
-            for j in reversed(range(n))
-        ]
-        s = od.Staircase(n, so.table_of(pairs))
-        assert od.render_staircase(s).splitlines() == grid
