@@ -11,6 +11,7 @@ from dsmfuse import chebfusion as cf
 
 import demo_closed_form as dcf
 import fusion_oracle
+import text_oracle
 
 MM1 = cf.gaussian(-1.0, 0.0)
 MM2 = cf.gaussian(0.0, 1.0)
@@ -228,7 +229,7 @@ def test_trailing_zero_coefficients_change_no_value(m1):
     # evaluate and the belief surface run on the leading nonzero block, so a
     # zero-padded copy gives the same values and a padded surface.
     padded = cf.ChebDensity(np.pad(m1.coeffs, (0, 71)))
-    assert np.array_equal(padded._block, m1.coeffs)
+    assert np.array_equal(padded._block, m1._block)
     rng = np.random.default_rng(5)
     x, y = rng.uniform(-1, 1, (2, 500))
     assert np.max(np.abs(cf.evaluate(padded, x, y) - cf.evaluate(m1, x, y))) <= 1e-15
@@ -272,6 +273,14 @@ def test_chop_finds_the_same_degree_at_any_fitted_degree():
         k128 = cf.chop(cf.normalize(cf.fit(f, 128)))
         assert 16 <= k128 < 64
         assert cf.chop(cf.normalize(cf.fit(f, 512))) == k128
+
+
+def test_fit_keeps_only_the_resolved_block():
+    # The demo Gaussians chop to about 24, so fit keeps a level-64 block at
+    # most, zero-padded to the requested degree.
+    for f in (MM1, MM2):
+        d = cf.fit(f, 512)
+        assert d.degree == 512 and max(d._block.shape) <= 65
 
 
 def test_chop_at_degree_512_takes_about_a_millisecond():
@@ -429,10 +438,19 @@ READER_TEXT = st.one_of(st.text(max_size=200), st.lists(READER_TOKENS, max_size=
 @given(data=st.one_of(READER_TEXT.map(lambda t: t.encode("utf-8")), st.binary(max_size=200)))
 def test_readers_fuzz(tmp_path, data):
     # Any file ends in a value or a ValueError; UnicodeDecodeError is one.
+    # load_coeffs reads the same array, or raises the same error, as the
+    # per-scalar reader it replaced.
     path = tmp_path / "fuzz"
     path.write_bytes(data)
-    for reader in (cf.load_coeffs, cf.load_grid):
+    outcomes = []
+    for reader in (cf.load_coeffs, text_oracle.load_coeffs):
         try:
-            reader(path)
-        except ValueError:
-            pass
+            c = reader(path).coeffs
+            outcomes.append((c.shape, c.tobytes()))
+        except ValueError as exc:
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1]
+    try:
+        cf.load_grid(path)
+    except ValueError:
+        pass
