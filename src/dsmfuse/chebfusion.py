@@ -2,11 +2,13 @@
 
 A mass density m(x, y) assigns belief to the generalized interval with lower
 description x and upper description y; y < x encodes contradiction, y == x
-exactness, y > x imprecision.  Densities are stored as coefficient matrices
-c[k][l] of sum c[k][l] T_k(x) T_l(y), fitted by a fast cosine transform on
-the Chebyshev-Lobatto tensor grid.  Belief is a corner cumulative integral
-of the density, and conjunctive fusion is a four-term combination of partial
-cumulatives.
+exactness, y > x imprecision.  Densities are 2-D Chebyshev series
+sum c[k][l] T_k(x) T_l(y) of a given degree, fitted by a fast cosine
+transform on the Chebyshev-Lobatto tensor grid, and stored as their leading
+block: the coefficients past it are exactly zero and are not kept (Chebfun
+likewise stores a function as its chopped coefficients).  Belief is a corner
+cumulative integral of the density, and conjunctive fusion is a four-term
+combination of partial cumulatives.
 
 Fitting and fusion work at the degree the data resolves.  :func:`chop` finds
 where a series' coefficients reach their round-off plateau (Aurentz &
@@ -14,12 +16,13 @@ Trefethen's standardChop).  :func:`fit` samples once on the full grid,
 transforms its nested coarse Lobatto subgrids, and keeps the first chopped
 series that reproduces every full-grid sample to round-off (Battles &
 Trefethen's adaptive construction, with the check made on the full grid),
-zero-padded to the requested degree.  Fusion multiplies the leading blocks
+as a density of the requested degree.  Fusion multiplies the leading blocks
 of its inputs up to the larger of the two chopped degrees, k, pointwise on a
 Lobatto grid.  That grid is the smallest fast one on which the products'
 high modes cannot alias into the min(n, 2k+1) kept ones (Orszag's 3/2 rule;
-at k = n it is about 3/2 times the input degree n).  The result is
-zero-padded back to degree n.  A series whose coefficients do not decay to a
+at k = n it is about 3/2 times the input degree n).  The result has degree
+n.  Only ``ChebDensity.coeffs`` and the ``.cheb`` writer pad a block with
+zeros to its degree.  A series whose coefficients do not decay to a
 plateau is not cut.
 
 scipy is imported by the two transforms that use it, so evaluating, reading
@@ -80,39 +83,51 @@ def interval_meet(a: GeneralizedInterval, b: GeneralizedInterval) -> Generalized
     return GeneralizedInterval(max(a.lo, b.lo), min(a.hi, b.hi))
 
 
-@dataclass(frozen=True, eq=False)
 class ChebDensity:
     """2-D Chebyshev series on [-1, 1]^2; coeffs[k, l] multiplies T_k(x) T_l(y).
 
+    A density stores only its leading block, the square past which every
+    coefficient is +0.0 (a -0.0 is kept, so a file reads back byte for
+    byte), and its degree.  ``ChebDensity(coeffs)`` scans a full matrix
+    once and copies the block; the library builds its results from blocks.
+    ``coeffs``, the full (degree+1)^2 matrix, is built on first use.
     Equality and hashing are by identity; the cached belief surface belongs
     to the object, not to its coefficients.
     """
 
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        c = np.asarray(self.coeffs, dtype=float)
+    def __init__(self, coeffs) -> None:
+        c = np.asarray(coeffs, dtype=float)
         if c.ndim != 2 or c.shape[0] != c.shape[1]:
             raise ValueError("coefficient matrix must be square")
         if not np.all(np.isfinite(c)):
             raise ValueError("coefficients must be finite")
-        c = c.copy()
-        c.flags.writeable = False
-        object.__setattr__(self, "coeffs", c)
+        used = (c != 0) | np.signbit(c)
+        used = np.flatnonzero(used.any(axis=0) | used.any(axis=1))
+        size = used[-1] + 1 if used.size else 1
+        block = c[:size, :size].copy()
+        block.flags.writeable = False
+        vars(self).update(_block=block, degree=c.shape[0] - 1)
 
-    @property
-    def degree(self) -> int:
-        return self.coeffs.shape[0] - 1
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError("a ChebDensity is read-only")
+
+    @classmethod
+    def _from_block(cls, block: np.ndarray, degree: int) -> ChebDensity:
+        # the density of the given degree whose coefficients start with block
+        self = cls(block)
+        vars(self)["degree"] = degree
+        return self
 
     @cached_property
-    def _block(self) -> np.ndarray:
-        # Leading square block past which every coefficient is exactly 0.0,
-        # with no tolerance; evaluate and cumulative run on it.
-        c = self.coeffs
-        nonzero = c != 0  # scanning bools takes a third less time than any() on floats
-        used = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
-        size = used[-1] + 1 if used.size else 1
-        return c[:size, :size]
+    def coeffs(self) -> np.ndarray:
+        c = self._leading(self.degree + 1)
+        c.flags.writeable = False
+        return c
+
+    def _leading(self, size: int) -> np.ndarray:
+        # a new array of the first size x size coefficients, zero past the block
+        c = self._block[:size, :size]
+        return np.pad(c, (0, size - c.shape[0]))
 
     @cached_property
     def _belief_surface(self) -> ChebDensity:
@@ -154,11 +169,6 @@ def _coeffs_to_values(coeffs: np.ndarray, n: int) -> np.ndarray:
     return dct(c, type=1, n=n + 1, axis=1, workers=DCT_WORKERS)
 
 
-def _pad(c: np.ndarray, size: int) -> np.ndarray:
-    # c zero-padded to size x size
-    return np.pad(c, ((0, size - c.shape[0]), (0, size - c.shape[1])))
-
-
 def fit(f: Callable[[np.ndarray, np.ndarray], np.ndarray], degree: int) -> ChebDensity:
     """Interpolate f on the (degree+1)^2 Chebyshev-Lobatto tensor grid.
 
@@ -167,9 +177,9 @@ def fit(f: Callable[[np.ndarray, np.ndarray], np.ndarray], degree: int) -> ChebD
     sample, bit for bit.  For L = 16, 32, ... below ``degree``, the level-L
     subgrid is transformed and chopped (:func:`chop`); the first chopped
     block whose values at all (degree+1)^2 nodes are within
-    ``FIT_RESIDUAL`` * eps * max|f| of the samples is returned, zero-padded
-    to ``degree``.  Otherwise, and always at degree <= 16, the full sample
-    is transformed and every coefficient kept.  Either way the fitted series
+    ``FIT_RESIDUAL`` * eps * max|f| of the samples is returned as a density
+    of degree ``degree``.  Otherwise, and always at degree <= 16, the full
+    sample is transformed and every coefficient kept.  Either way the fitted series
     reproduces f at the grid nodes to round-off.
     """
     if degree < 2 or degree & (degree - 1):
@@ -193,9 +203,9 @@ def fit(f: Callable[[np.ndarray, np.ndarray], np.ndarray], degree: int) -> ChebD
             residual = vx @ block @ vx.T
             residual -= values
             if max(residual.max(), -residual.min()) <= tol:
-                return ChebDensity(_pad(block, degree + 1))
+                return ChebDensity._from_block(block, degree)
         level *= 2
-    return ChebDensity(_values_to_coeffs(values, degree))
+    return ChebDensity._from_block(_values_to_coeffs(values, degree), degree)
 
 
 def evaluate(d: ChebDensity, x, y):
@@ -242,7 +252,7 @@ def normalize(d: ChebDensity) -> ChebDensity:
     total = integral_full(d)
     if total <= 0:
         raise ValueError(f"cannot normalize: total mass {total} <= 0")
-    return ChebDensity(d.coeffs / total)
+    return ChebDensity._from_block(d._block / total, d.degree)
 
 
 def _axis_cumulative(coeffs: np.ndarray, axis: int, full_at: int) -> np.ndarray:
@@ -280,12 +290,12 @@ def cumulative(d: ChebDensity, corner: tuple[int, int]) -> ChebDensity:
     ``corner=(cx, cy)`` names the corner where the accumulation is complete:
     cx=+1 integrates x from -1, cx=-1 integrates x from +1 (downwards), and
     likewise for cy.  The belief corner is (-1, +1): full mass at the point
-    (-1, 1).  The result has degree n+1; it is integrated from the leading
-    nonzero block and zero-padded.
+    (-1, 1).  The result has degree n+1; its block is the integral of the
+    density's block, one coefficient longer per axis.
     """
     c = _axis_cumulative(d._block, axis=0, full_at=corner[0])
     c = _axis_cumulative(c, axis=1, full_at=corner[1])
-    return ChebDensity(_pad(c, d.degree + 2))
+    return ChebDensity._from_block(c, d.degree + 1)
 
 
 def belief(m: ChebDensity, iv: GeneralizedInterval) -> float:
@@ -326,8 +336,9 @@ def chop(d: ChebDensity) -> int:
     n = d.degree + 1
     if n < 17:
         return d.degree
-    a = np.abs(d.coeffs)
-    env = np.maximum(a.max(axis=0), a.max(axis=1))
+    a = np.abs(d._block)
+    env = np.zeros(n)  # zero past the block
+    env[: a.shape[0]] = np.maximum(a.max(axis=0), a.max(axis=1))
     env = np.maximum.accumulate(env[::-1])[::-1]
     if env[0] == 0:
         return 0
@@ -374,31 +385,31 @@ def fuse(m1: ChebDensity, m2: ChebDensity) -> ChebDensity:
     because the loose endpoint of one operand only ranges over a product
     region.  Ties on the boundary have measure zero.
 
-    Inputs of unequal degree are zero-padded to the larger one, n.  The
+    An input of lower degree is taken at the larger degree, n.  The
     terms are formed from the leading (k+1)^2 coefficients, k the larger
     :func:`chop` degree of the two, so each factor has degree <= k+1 per
     axis and each product degree <= 2k+1.  On an (M+1)^2 Lobatto grid the
     DCT-I folds a mode p > M onto 2M - p, which lies above the kept degree
     K = min(n, 2k+1) whenever 2M > 2k+1+K; products sampled on the smallest
     fast such grid (Orszag's 3/2 rule, 2M > 3n+1 at k = n) and truncated to
-    degree K are exact, and the result is zero-padded to degree n.
+    degree K are exact; they form the block of the degree-n result.
     """
     _require_normalized(m1)
     _require_normalized(m2)
     n = max(m1.degree, m2.degree)
-    m1, m2 = (m if m.degree == n else ChebDensity(_pad(m.coeffs, n + 1)) for m in (m1, m2))
+    m1, m2 = (m if m.degree == n else ChebDensity._from_block(m._block, n) for m in (m1, m2))
     k = max(chop(m1), chop(m2))
     keep = min(n, 2 * k + 1)
     size = _alias_free_size(k, keep)
     total = np.zeros((size + 1, size + 1))
     for a, b in ((m1, m2), (m2, m1)):
-        ca, cb = a.coeffs[: k + 1, : k + 1], b.coeffs[: k + 1, : k + 1]
+        ca, cb = a._leading(k + 1), b._leading(k + 1)
         pa = _axis_cumulative(ca, axis=0, full_at=1)      # P_a
         qb = _axis_cumulative(cb, axis=1, full_at=-1)     # Q_b
         fb = _axis_cumulative(qb, axis=0, full_at=1)      # F_b
         total += _coeffs_to_values(ca, size) * _coeffs_to_values(fb, size)
         total += _coeffs_to_values(pa, size) * _coeffs_to_values(qb, size)
-    return ChebDensity(_pad(_values_to_coeffs(total, keep), n + 1))
+    return ChebDensity._from_block(_values_to_coeffs(total, keep), n)
 
 
 def _alias_free_size(k: int, keep: int | None = None) -> int:
@@ -426,27 +437,21 @@ def gaussian(cx: float, cy: float) -> Callable[[np.ndarray, np.ndarray], np.ndar
     return lambda x, y: np.exp(-((x - cx) ** 2) - (y - cy) ** 2)
 
 
-def remap(f: Callable, a: float, b: float) -> Callable:
-    """View a function on [a, b]^2 as one on [-1, 1]^2 (affine pullback)."""
-    if not b > a:
-        raise ValueError("need b > a")
-    half = (b - a) / 2
-    mid = (a + b) / 2
-
-    def g(x, y):
-        return f(mid + half * x, mid + half * y)
-
-    return g
-
-
 # --- text formats ----------------------------------------------------------
 
 
 def save_coeffs(d: ChebDensity, path) -> None:
-    """Header ``cheb2d N`` then N+1 rows of N+1 coefficients."""
+    """Header ``cheb2d N`` then N+1 rows of N+1 coefficients.
+
+    The block's rows are written first, each followed by its zero tail, and
+    then the all-zero rows; the tail and the zero row are formatted once.
+    """
+    n, size = d.degree + 1, d._block.shape[0]
+    tail = " 0.0" * (n - size) + "\n"
     with open(path, "w") as fh:
         fh.write(f"cheb2d {d.degree}\n")
-        fh.writelines(" ".join(map(repr, row)) + "\n" for row in d.coeffs.tolist())
+        fh.writelines(" ".join(map(repr, row)) + tail for row in d._block.tolist())
+        fh.write(("0.0" + " 0.0" * (n - 1) + "\n") * (n - size))
 
 
 def load_coeffs(path) -> ChebDensity:
@@ -466,9 +471,8 @@ def load_coeffs(path) -> ChebDensity:
                 raise ValueError(
                     f"{path}: row {k} holds {len(rows[-1])} coefficients, expected {n + 1}"
                 )
-    coeffs = np.array(rows)
     try:
-        return ChebDensity(coeffs)
+        return ChebDensity(rows)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

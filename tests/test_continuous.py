@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -302,6 +303,52 @@ def test_density_equality_and_hash_are_by_identity():
     assert {d, twin, d} == {d, twin}
 
 
+def test_a_density_holds_its_block(m1, m2):
+    # Results hold the block past which every coefficient is +0.0, the block
+    # the public constructor finds in their full matrix; the full matrix is
+    # built once, on first use, and neither can be written.
+    fused = cf.fuse(m1, m2)
+    for d in (cf.fit(MM1, 128), m1, fused, cf.cumulative(fused, (-1, 1))):
+        assert d._block.shape[0] < d.degree + 1
+        assert np.array_equal(cf.ChebDensity(d.coeffs)._block, d._block)
+        assert d.coeffs is d.coeffs and d.coeffs.shape == (d.degree + 1, d.degree + 1)
+        for c in (d._block, d.coeffs):
+            with pytest.raises(ValueError):
+                c[0, 0] = 1.0
+        with pytest.raises(AttributeError):
+            d.degree = 3
+    c = np.zeros((5, 5))
+    c[0, 0], c[1, 2] = 0.25, -0.0
+    d = cf.ChebDensity(c)
+    c[0, 0] = 1.0
+    assert d._block.tolist() == [[0.25, 0.0, 0.0], [0.0, 0.0, -0.0], [0.0, 0.0, 0.0]]
+    assert np.signbit(d.coeffs[1, 2]) and d.degree == 4
+
+
+def test_block_storage_keeps_degree_512_memory_small():
+    # At degree 512 a full coefficient matrix takes 2 MiB; the demo densities
+    # resolve at degree 24, so fusing and integrating them stays far below.
+    mm1, mm2 = cf.fit(MM1, 512), cf.fit(MM2, 512)
+    tracemalloc.start()
+    try:
+        def traced(step, *args):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            result = step(*args)
+            current, peak = tracemalloc.get_traced_memory()
+            return result, current - start, peak - start
+        m1, kept1, _ = traced(cf.normalize, mm1)
+        m2, kept2, _ = traced(cf.normalize, mm2)
+        fused, kept_fused, fuse_peak = traced(cf.fuse, m1, m2)
+        surface, kept_surface, _ = traced(cf.belief_surface, fused)
+    finally:
+        tracemalloc.stop()
+    assert fused.degree == 512 and surface.degree == 513
+    assert fuse_peak < 1 << 20
+    for kept in (kept1, kept2, kept_fused, kept_surface):
+        assert kept < 256 << 10
+
+
 def test_unnormalized_belief_raises_on_every_call():
     d = cf.fit(MM1, 32)
     for _ in range(2):
@@ -381,19 +428,22 @@ def test_fused_density_moves_toward_agreement(m1, m2):
     assert abs(fine_y[l] + dcf.X_STAR) <= fine_step
 
 
-def test_remap():
-    f = cf.remap(lambda x, y: x + y, 0.0, 2.0)
-    assert f(-1.0, -1.0) == pytest.approx(0.0)
-    assert f(1.0, 1.0) == pytest.approx(4.0)
-    with pytest.raises(ValueError):
-        cf.remap(lambda x, y: x, 1.0, 1.0)
-
-
 def test_coeff_file_roundtrip(tmp_path, m1):
     path = tmp_path / "m1.cheb"
     cf.save_coeffs(m1, path)
     loaded = cf.load_coeffs(path)
     assert np.array_equal(loaded.coeffs, m1.coeffs)
+
+
+@pytest.mark.parametrize("row, col", [(2, 2), (3, 0), (0, 3)])
+def test_coeff_file_keeps_a_trailing_negative_zero(tmp_path, row, col):
+    # A -0.0 past the last nonzero coefficient reads back and is written again.
+    rows = [["0.0"] * 4 for _ in range(4)]
+    rows[0][0], rows[1][1], rows[row][col] = "0.25", "0.5", "-0.0"
+    path, again = tmp_path / "a.cheb", tmp_path / "b.cheb"
+    path.write_text("cheb2d 3\n" + "".join(" ".join(r) + "\n" for r in rows))
+    cf.save_coeffs(cf.load_coeffs(path), again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_coeff_file_rejects_garbage(tmp_path):

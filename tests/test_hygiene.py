@@ -1,4 +1,5 @@
-"""Every name a ``src/dsmfuse`` module imports is used in that module."""
+"""Every name a ``src/dsmfuse`` module imports, and every private name it
+defines at module level, is used in that module."""
 
 import ast
 from pathlib import Path
@@ -27,3 +28,27 @@ def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     unused = sorted(set(imported_names(tree)) - used_names(tree))
     assert not unused, f"{path.name} imports {unused} without using them"
+
+
+def private_names(tree):
+    # single-underscore names bound by the module's top-level statements
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from (name for name in names if name.startswith("_") and not name.startswith("__"))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_private_name_is_used(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    loaded = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    unused = sorted(set(private_names(tree)) - loaded)
+    assert not unused, f"{path.name} defines {unused} without using them"
