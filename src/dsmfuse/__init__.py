@@ -1,10 +1,10 @@
 """Belief fusion on finite pre-Boolean algebras and continuous interval models.
 
 The finite engine (``prebool``, ``belief``, ``ordered``) is pure Python; the
-spectral engine (``chebfusion``) needs numpy and scipy.  Importing the package
-loads none of them: each submodule is imported on first access, so
-``dsmfuse.chebfusion`` and ``from dsmfuse import chebfusion`` load numpy and
-scipy, and ``from dsmfuse import prebool`` does not.
+spectral engine (``chebfusion``) needs numpy alone.  Importing the package
+loads neither: each submodule is imported on first access, so
+``dsmfuse.chebfusion`` and ``from dsmfuse import chebfusion`` load numpy,
+and ``from dsmfuse import prebool`` does not.
 """
 
 import importlib

@@ -25,13 +25,12 @@ n.  Only ``ChebDensity.coeffs`` and the ``.cheb`` writer pad a block with
 zeros to its degree.  A series whose coefficients do not decay to a
 plateau is not cut.
 
-scipy is imported by the two transforms that use it, so evaluating, reading
-and querying a stored series load numpy alone.
+The cosine transforms are real FFTs of the mirrored samples, as in Chebfun,
+so the module needs numpy alone.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -46,12 +45,6 @@ _EPS = np.finfo(float).eps
 # units of round-off in max|f|.  Accepted fits of seeded Gaussians at degrees
 # 128 and 512 come to 2.75-6 units.
 FIT_RESIDUAL = 16
-
-# Threads per 2-D transform, one per usable core.  Each thread takes whole
-# 1-D transforms, so the result does not depend on the count.
-DCT_WORKERS = (
-    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-)
 
 
 @dataclass(frozen=True)
@@ -140,15 +133,23 @@ def lobatto_nodes(n: int) -> np.ndarray:
     return np.cos(np.pi * np.arange(n + 1) / n)
 
 
+def _dct1(a: np.ndarray, size: int) -> np.ndarray:
+    # DCT-I along the last axis of a, zero-padded to size points: the real
+    # FFT of the even extension a_0 .. a_{size-1}, a_{size-2} .. a_1.
+    ext = np.zeros(a.shape[:-1] + (2 * size - 2,))
+    ext[..., : a.shape[-1]] = a
+    ext[..., size:] = ext[..., size - 2 : 0 : -1]
+    return np.fft.rfft(ext).real
+
+
 def _values_to_coeffs(values: np.ndarray, keep: int) -> np.ndarray:
     # DCT-I along each axis turns Lobatto samples into Chebyshev coefficients;
     # the first and last coefficient of each axis carry a 1/2 factor.  Only
     # the first keep+1 rows and columns are transformed further and returned.
-    from scipy.fft import dct
-
+    # Axis 0 goes first; the other order can differ in the last bit.
     n = values.shape[0] - 1
-    c = dct(values, type=1, axis=0, workers=DCT_WORKERS)[: keep + 1]
-    c = dct(c, type=1, axis=1, workers=DCT_WORKERS)[:, : keep + 1] / (n * n)
+    c = _dct1(values.T, n + 1)[:, : keep + 1].T
+    c = _dct1(c, n + 1)[:, : keep + 1] / (n * n)
     c[0, :] /= 2
     c[n:, :] /= 2  # row n exists only when keep == n
     c[:, 0] /= 2
@@ -160,13 +161,10 @@ def _coeffs_to_values(coeffs: np.ndarray, n: int) -> np.ndarray:
     # Values on the (n+1)^2 Lobatto grid of a series with at most n+1
     # coefficients per axis.  The missing ones are zero: the axis-0 transform
     # runs on the given columns only, and each transform pads its input.
-    from scipy.fft import dct
-
     c = coeffs.copy()
     c[1:n, :] /= 2
     c[:, 1:n] /= 2
-    c = dct(c, type=1, n=n + 1, axis=0, workers=DCT_WORKERS)
-    return dct(c, type=1, n=n + 1, axis=1, workers=DCT_WORKERS)
+    return _dct1(_dct1(c.T, n + 1).T, n + 1)
 
 
 def fit(f: Callable[[np.ndarray, np.ndarray], np.ndarray], degree: int) -> ChebDensity:
@@ -492,25 +490,3 @@ def save_grid(d: ChebDensity, path, g: int = 64) -> None:
     with open(path, "w") as fh:
         for x, row in zip(labels, values.tolist()):
             fh.write("".join([f"{x} {y} {v:.12e}\n" for y, v in zip(labels, row)]) + "\n")
-
-
-def load_grid(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a grid file back into (axis, values); malformed text raises ValueError."""
-    xs: list[float] = []
-    blocks: list[list[float]] = []
-    current: list[float] = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                if current:
-                    blocks.append(current)
-                    current = []
-                continue
-            x, _y, v = (float(t) for t in line.split())
-            if not current:
-                xs.append(x)
-            current.append(v)
-    if current:
-        blocks.append(current)
-    return np.array(xs), np.array(blocks)

@@ -4,11 +4,11 @@ Subcommands: ``hyperpower`` (enumerate or quotient a finite algebra),
 ``ordered`` (staircase isomorphism report), ``fuse-demo`` (the Gaussian
 fusion experiment on [-1, 1]), ``fuse`` (combine two coefficient files) and
 ``belief`` (query a belief value).  Exit codes: 0 success, 1 usage, 2 input
-parse error, 3 numeric failure.
+parse error, 3 numeric failure, including an allocation that fails.
 
 Each subcommand imports only what it runs: ``hyperpower`` and ``ordered`` load
-neither numpy nor scipy, ``belief`` loads numpy, and ``fuse`` and
-``fuse-demo`` load both, through :mod:`dsmfuse.chebfusion`.
+no numpy, and ``fuse``, ``fuse-demo`` and ``belief`` load numpy alone, through
+:mod:`dsmfuse.chebfusion`.
 """
 
 from __future__ import annotations
@@ -63,14 +63,10 @@ def cmd_hyperpower(args) -> int:
     universe = prebool.enumerate_hyperpower(args.n, max_atoms=args.max_atoms)
     if args.constraints:
         try:
-            text = Path(args.constraints).read_text()
+            gamma = prebool.parse_constraints(Path(args.constraints).read_text(), args.n)
         except OSError as exc:
             raise CliError(str(exc), EXIT_PARSE) from None
-        except UnicodeDecodeError as exc:
-            raise CliError(f"{args.constraints}: {exc}", EXIT_PARSE) from None
-        try:
-            gamma = prebool.parse_constraints(text, args.n)
-        except prebool.ParseError as exc:
+        except ValueError as exc:  # UnicodeDecodeError or ParseError
             raise CliError(f"{args.constraints}: {exc}", EXIT_PARSE) from None
         elements = prebool.quotient(universe, gamma).representatives
     else:
@@ -218,8 +214,8 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

@@ -9,6 +9,12 @@ grid, where no mode of degree <= 2n+1 can alias into the kept ones; and
 antiderivatives from ``numpy.polynomial.chebyshev.chebint``.  Tests compare
 them to round-off, and ``fuse_full`` bit for bit on inputs that do not chop.
 
+``coeffs_to_values`` and ``values_to_coeffs`` are the full-size transforms
+through ``scipy.fft.dct``, which ``chebfusion`` used before it computed the
+DCT-I as a real FFT of the mirrored samples; sliced or padded, they equal
+``chebfusion``'s truncating transforms bit for bit.  scipy is a test
+dependency only.
+
 ``cell_fusion`` is the discrete model that both engines approximate: the
 conjunctive fusion of masses on a grid of cells, written as prefix sums.
 """

@@ -65,6 +65,21 @@ def test_hyperpower_constraints_not_utf8(tmp_path, capsys):
     assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("message, line", [
+    ("Unable to allocate 8.00 TiB", "error: Unable to allocate 8.00 TiB\n"),
+    ("", "error: MemoryError\n"),
+])
+def test_allocation_failure_exits_numeric(tmp_path, monkeypatch, capsys, message, line):
+    # --degree 1048576 passes the parser and asks numpy for an 8 TiB sample.
+    # Whether that allocation fails depends on the host, so fit fails here.
+    def fit(f, degree):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cf, "fit", fit)
+    code, out, err = run(capsys, "fuse-demo", "--degree", "1048576", "--out", str(tmp_path))
+    assert (code, out, err) == (cli.EXIT_NUMERIC, "", line)
+
+
 def test_fuse_demo_unwritable_out(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")

@@ -457,7 +457,7 @@ def test_grid_file_roundtrip(tmp_path):
     d = cf.normalize(cf.fit(MM1, 32))
     path = tmp_path / "m1.grid"
     cf.save_grid(d, path, g=33)
-    axis, values = cf.load_grid(path)
+    axis, values = text_oracle.load_grid(path)
     direct_axis, direct = cf.grid_samples(d, 33)
     assert np.allclose(axis, direct_axis)
     assert np.allclose(values, direct, atol=1e-11)
@@ -469,7 +469,7 @@ def test_grid_file_rejects_malformed_rows(tmp_path):
                  "0 0 1\n0 0 2\n\n1 0 3\n"):
         path.write_text(text)
         with pytest.raises(ValueError):
-            cf.load_grid(path)
+            text_oracle.load_grid(path)
 
 
 # Tokens that reach past the header check: small declared sizes (so a file
@@ -501,6 +501,6 @@ def test_readers_fuzz(tmp_path, data):
             outcomes.append((type(exc), str(exc)))
     assert outcomes[0] == outcomes[1]
     try:
-        cf.load_grid(path)
+        text_oracle.load_grid(path)
     except ValueError:
         pass

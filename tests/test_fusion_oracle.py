@@ -1,4 +1,5 @@
-"""3/2-rule fusion and the recurrence antiderivative against the code they replaced."""
+"""3/2-rule fusion, the recurrence antiderivative and the real-FFT DCT-I against
+the code they replaced."""
 
 import numpy as np
 import pytest
@@ -15,6 +16,34 @@ def random_density(rng, n):
     w = cf._cheb_weights(n)
     c[0, 0] = (1.0 - w @ c @ w) / 4.0  # the integral of T_0(x) T_0(y) is 4
     return cf.ChebDensity(c)
+
+
+# n = 2..70, the 5-smooth grids (M = 50, 54, 60, 64, 75, 80) on which fuse
+# samples, and the sizes of fit's levels and of its full transform.
+TRANSFORM_SIZES = list(range(2, 71)) + [75, 80, 128, 129, 256, 512]
+
+
+def test_values_to_coeffs_matches_scipy_dct():
+    rng = np.random.default_rng(17)
+    for n in TRANSFORM_SIZES:
+        values = rng.standard_normal((n + 1, n + 1))
+        want = fusion_oracle.values_to_coeffs(values)
+        for keep in sorted({1, n // 2, n - 1, n}):
+            got = cf._values_to_coeffs(values, keep)
+            assert np.array_equal(got, want[: keep + 1, : keep + 1]), (n, keep)
+
+
+def test_coeffs_to_values_matches_scipy_dct():
+    # Inputs of fewer than n+1 rows or columns are zero-padded by the
+    # transform; the oracle gets them padded.
+    rng = np.random.default_rng(18)
+    for n in TRANSFORM_SIZES:
+        for rows, cols in ((n + 1, n + 1), (n // 2 + 2, n // 2 + 1), (1, 2)):
+            coeffs = rng.standard_normal((rows, cols))
+            padded = np.zeros((n + 1, n + 1))
+            padded[:rows, :cols] = coeffs
+            want = fusion_oracle.coeffs_to_values(padded)
+            assert np.array_equal(cf._coeffs_to_values(coeffs, n), want), (n, rows, cols)
 
 
 def test_fuse_matches_doubled_grid_oracle():

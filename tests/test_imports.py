@@ -1,9 +1,10 @@
 """Each entry point loads only the libraries it runs.
 
 The finite engine and its subcommands are pure Python: importing the package
-or running ``hyperpower`` or ``ordered`` must not load numpy or scipy.
-``belief`` evaluates a stored series and needs numpy alone.  Every case runs
-in a fresh interpreter, since this test process has loaded both already.
+or running ``hyperpower`` or ``ordered`` must not load numpy or scipy.  The
+spectral subcommands ``belief``, ``fuse`` and ``fuse-demo`` need numpy alone.
+Every case runs in a fresh interpreter, since this test process has loaded
+both already.
 """
 
 import json
@@ -71,6 +72,19 @@ def test_belief_subcommand_loads_numpy_only(tmp_path):
     loaded, out = heavy_modules_after(cli_code(["belief", str(path), "--", "-0.5", "0.5"]))
     assert out.splitlines() == ["0.5625", "exit 0"]
     assert loaded == {"numpy"}
+
+
+def test_fuse_subcommands_load_numpy_only(tmp_path):
+    path = tmp_path / "uniform.cheb"
+    path.write_text(UNIFORM_CHEB)
+    fused = tmp_path / "fused.cheb"
+    for argv in (
+        ["fuse", str(path), str(path), "--out", str(fused)],
+        ["fuse-demo", "--degree", "8", "--grid", "2", "--out", str(tmp_path / "demo")],
+    ):
+        loaded, out = heavy_modules_after(cli_code(argv))
+        assert out.splitlines()[-1] == "exit 0", argv
+        assert loaded == {"numpy"}, argv
 
 
 def test_submodules_resolve_on_first_access():

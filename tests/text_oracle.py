@@ -1,8 +1,9 @@
-"""The former text writers and coefficient reader of ``chebfusion``.
+"""The former text writers and coefficient reader of ``chebfusion``, and a grid reader.
 
 They format and parse one numpy scalar at a time.  The list-based versions
 that replaced them must write the same bytes and read the same arrays, with
-the same error messages.
+the same error messages.  ``load_grid`` reads a ``save_grid`` file back, for
+the tests' round trips; the package itself never reads grid files.
 """
 
 import numpy as np
@@ -44,3 +45,25 @@ def save_grid(d: cf.ChebDensity, path, g: int = 64) -> None:
             for j, y in enumerate(axis):
                 fh.write(f"{x:.6f} {y:.6f} {values[i, j]:.12e}\n")
             fh.write("\n")
+
+
+def load_grid(path) -> tuple[np.ndarray, np.ndarray]:
+    """Read a grid file back into (axis, values); malformed text raises ValueError."""
+    xs: list[float] = []
+    blocks: list[list[float]] = []
+    current: list[float] = []
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                if current:
+                    blocks.append(current)
+                    current = []
+                continue
+            x, _y, v = (float(t) for t in line.split())
+            if not current:
+                xs.append(x)
+            current.append(v)
+    if current:
+        blocks.append(current)
+    return np.array(xs), np.array(blocks)
