@@ -410,13 +410,13 @@ def fuse(m1: ChebDensity, m2: ChebDensity) -> ChebDensity:
     return ChebDensity._from_block(_values_to_coeffs(total, keep), n)
 
 
-def _alias_free_size(k: int, keep: int | None = None) -> int:
+def _alias_free_size(k: int, keep: int) -> int:
     """Smallest M with 2M > 2k+1+keep and 2M 5-smooth, a fast DCT-I length.
 
     On that grid, products of degree <= 2k+1 alias onto none of their first
-    keep+1 modes; ``keep`` defaults to k, the 3/2 rule 2M > 3k+1.
+    keep+1 modes; ``keep = k`` is the 3/2 rule 2M > 3k+1.
     """
-    m = (2 * k + 1 + (k if keep is None else keep)) // 2 + 1
+    m = (2 * k + 1 + keep) // 2 + 1
     while True:
         r = 2 * m
         for p in (2, 3, 5):
@@ -455,21 +455,22 @@ def save_coeffs(d: ChebDensity, path) -> None:
 def load_coeffs(path) -> ChebDensity:
     """Read a :func:`save_coeffs` file, stopping at the first malformed row.
 
-    Malformed text, including bytes that do not decode, raises ValueError.
+    Malformed text, including bytes that do not decode, raises ValueError,
+    and every such error's text starts with ``f"{path}: "``.
     """
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 2 or header[0] != "cheb2d" or not header[1].isdecimal():
-            raise ValueError(f"{path}: malformed coefficient header")
-        n = int(header[1])
-        rows = []
-        for k in range(1, n + 2):
-            rows.append(list(map(float, fh.readline().split())))
-            if len(rows[-1]) != n + 1:
-                raise ValueError(
-                    f"{path}: row {k} holds {len(rows[-1])} coefficients, expected {n + 1}"
-                )
     try:
+        with open(path) as fh:
+            header = fh.readline().split()
+            if len(header) != 2 or header[0] != "cheb2d" or not header[1].isdecimal():
+                raise ValueError("malformed coefficient header")
+            n = int(header[1])
+            rows = []
+            for k in range(1, n + 2):
+                rows.append(list(map(float, fh.readline().split())))
+                if len(rows[-1]) != n + 1:
+                    raise ValueError(
+                        f"row {k} holds {len(rows[-1])} coefficients, expected {n + 1}"
+                    )
         return ChebDensity(rows)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -12,6 +12,7 @@ set bits, so for instance ``a | (a & b)`` reads back as ``a``.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from operator import and_
@@ -263,12 +264,12 @@ class Quotient:
         n = self.universe[0].n
         if any(p.n != n for p in self.universe):
             raise ValueError("universe mixes atom universes")
-        # Maps each member to its table; the lookup in key() also rejects
-        # foreign elements, whose tables may well collide with members' keys.
-        self._table = {p: p.table for p in self.universe}
-        if len(self._table) != len(self.universe):
+        # key() rejects foreign elements, whose tables may well collide with
+        # members' keys.
+        self._members = frozenset(self.universe)
+        if len(self._members) != len(self.universe):
             raise ValueError("universe contains duplicate propositions")
-        tables = set(self._table.values())
+        tables = {p.table for p in self._members}
         full = top(n).table
         least = {
             reduce(and_, (t for t in tables if t >> x & 1), full)
@@ -304,12 +305,11 @@ class Quotient:
 
     def key(self, p: Proposition) -> int:
         """The class key ``T(p) & ~M``: equal exactly on congruent members."""
-        try:
-            return self._table[p] & self._keep
-        except KeyError:
+        if p not in self._members:
             raise ValueError(
                 f"proposition {format_proposition(p)} is outside the universe"
-            ) from None
+            )
+        return p.table & self._keep
 
     def class_of(self, p: Proposition) -> Proposition:
         """Representative of p's congruence class."""
@@ -351,92 +351,63 @@ class ParseError(ValueError):
         super().__init__(message if line is None else f"line {line}: {message}")
 
 
-def _tokenize(text: str) -> list[str]:
-    tokens: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "&|()":
-            tokens.append(ch)
-            i += 1
-        elif ch.isalnum():
-            j = i
-            while j < len(text) and text[j].isalnum():
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-        else:
-            raise ParseError(f"unexpected character {ch!r}")
-    return tokens
-
+# An operator, a run of letters and digits, or any other visible character,
+# which parse_proposition rejects.
+_TOKEN = re.compile(r"[&|()]|[^\W_]+|\S")
 
 # Each level of parentheses costs the parser three stack frames.
 MAX_NESTING = 100
 
 
-class _Parser:
-    def __init__(self, tokens: list[str], n: int) -> None:
-        self.tokens = tokens
-        self.pos = 0
-        self.n = n
-        self.depth = 0
+def parse_proposition(text: str, n: int) -> Proposition:
+    tokens = _TOKEN.findall(text)
+    for tok in tokens:
+        if not (tok.isalnum() or tok in "&|()"):
+            raise ParseError(f"unexpected character {tok!r}")
+    tokens.reverse()
 
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of expression")
-        self.pos += 1
-        return tok
-
-    def expr(self) -> Proposition:
-        p = self.term()
-        while self.peek() == "|":
-            self.take()
-            p = join(p, self.term())
+    def expr(depth: int) -> Proposition:
+        p = term(depth)
+        while tokens and tokens[-1] == "|":
+            tokens.pop()
+            p = join(p, term(depth))
         return p
 
-    def term(self) -> Proposition:
-        p = self.factor()
-        while self.peek() == "&":
-            self.take()
-            p = meet(p, self.factor())
+    def term(depth: int) -> Proposition:
+        p = factor(depth)
+        while tokens and tokens[-1] == "&":
+            tokens.pop()
+            p = meet(p, factor(depth))
         return p
 
-    def factor(self) -> Proposition:
-        tok = self.take()
+    def factor(depth: int) -> Proposition:
+        tok = tokens.pop()
         if tok == "(":
-            if self.depth == MAX_NESTING:
+            if depth == MAX_NESTING:
                 raise ParseError(f"parentheses nested deeper than {MAX_NESTING}")
-            self.depth += 1
-            p = self.expr()
-            self.depth -= 1
-            if self.take() != ")":
+            p = expr(depth + 1)
+            if tokens.pop() != ")":
                 raise ParseError("expected ')'")
             return p
         if tok == "bot":
-            return bottom(self.n)
+            return bottom(n)
         if tok == "top":
-            return top(self.n)
+            return top(n)
         digits = tok[1:]
         if tok.startswith("a") and digits.isascii() and digits.isdigit():
             # Compare lengths first: int() refuses strings of over 4300 digits.
             digits = digits.lstrip("0") or "0"
-            if len(digits) > len(str(self.n)) or int(digits) >= self.n:
-                raise ParseError(f"atom {tok!r} out of range for {self.n} atoms")
-            return atom_prop(self.n, int(digits))
+            if len(digits) > len(str(n)) or int(digits) >= n:
+                raise ParseError(f"atom {tok!r} out of range for {n} atoms")
+            return atom_prop(n, int(digits))
         raise ParseError(f"unexpected token {tok!r}")
 
-
-def parse_proposition(text: str, n: int) -> Proposition:
-    parser = _Parser(_tokenize(text), n)
-    p = parser.expr()
-    if parser.peek() is not None:
-        raise ParseError(f"trailing input at token {parser.peek()!r}")
+    try:
+        p = expr(0)
+    except IndexError:  # a pop from the exhausted token list
+        raise ParseError("unexpected end of expression") from None
+    if tokens:
+        raise ParseError(f"trailing input at token {tokens[-1]!r}")
     return p
 
 

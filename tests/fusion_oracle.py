@@ -95,7 +95,7 @@ def fuse_full(m1: cf.ChebDensity, m2: cf.ChebDensity) -> cf.ChebDensity:
     cf._require_normalized(m1)
     cf._require_normalized(m2)
     n = m1.degree
-    size = cf._alias_free_size(n)
+    size = cf._alias_free_size(n, n)
     total = np.zeros((size + 1, size + 1))
     for a, b in ((m1, m2), (m2, m1)):
         pa = cf._axis_cumulative(a.coeffs, axis=0, full_at=1)      # P_a

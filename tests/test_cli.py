@@ -337,11 +337,28 @@ def test_hyperpower_rejects_deep_nesting(tmp_path, capsys):
     ("cheb2d 2000000\n1 2 3\n", "row 1 holds 3 coefficients, expected 2000001"),
     ("cheb2d 1\n0.25 0\n", "row 2 holds 0 coefficients, expected 2"),
     ("cheb2d 1\n0.25 0\n0 1 2\n", "row 2 holds 3 coefficients, expected 2"),
+    # Errors that Python raises, not the reader, name the file too.
+    ("cheb2d 1\n0.25 abc\n", "could not convert string to float: 'abc'"),
+    # The codec's text depends on the locale's encoding.
+    (b"cheb2d 1\n\xff\n", ""),
 ])
 def test_belief_command_stops_at_first_bad_row(tmp_path, capsys, text, message):
     path = tmp_path / "short.cheb"
-    path.write_text(text)
+    path.write_bytes(text.encode() if isinstance(text, str) else text)
     code, out, err = run(capsys, "belief", str(path), "0", "0")
     assert code == cli.EXIT_PARSE
     assert out == ""
     assert err.startswith(f"error: {path}: {message}")
+
+
+def test_fuse_command_names_the_bad_file(tmp_path, capsys):
+    good = tmp_path / "good.cheb"
+    cf.save_coeffs(cf.normalize(cf.fit(cf.gaussian(0, 1), 16)), good)
+    bad = tmp_path / "bad.cheb"
+    bad.write_text("cheb2d 1\n0.25 abc\n0 0\n")
+    out_path = tmp_path / "f.cheb"
+    code, out, err = run(capsys, "fuse", str(good), str(bad), "--out", str(out_path))
+    assert code == cli.EXIT_PARSE
+    assert out == ""
+    assert err == f"error: {bad}: could not convert string to float: 'abc'\n"
+    assert not out_path.exists()

@@ -118,12 +118,11 @@ def test_axis_cumulative_matches_chebint_oracle(axis, full_at, shape):
 
 
 def test_alias_free_size_is_the_smallest_fast_alias_free_grid():
-    assert cf._alias_free_size(512) == 800
+    assert cf._alias_free_size(512, 512) == 800
     for n in range(257):
-        m = cf._alias_free_size(n)
+        m = cf._alias_free_size(n, n)
         assert 2 * m > 3 * n + 1 and _five_smooth(2 * m)
         assert not any(2 * k > 3 * n + 1 and _five_smooth(2 * k) for k in range(m))
-        assert cf._alias_free_size(n, n) == m
     for k, keep in ((0, 0), (0, 1), (24, 49), (28, 57), (100, 128)):
         m = cf._alias_free_size(k, keep)
         assert 2 * m > 2 * k + 1 + keep and _five_smooth(2 * m)
