@@ -13,8 +13,14 @@ number), the same code runs with D = 1 and the values kept as given, so
 float results and the ``MASS_TOL`` checks are those of plain per-value sums
 in insertion order.
 
+Both entry points, :class:`FiniteBba` and :func:`bba_from_bel`, take that
+decision in one place, :func:`_numerators`, and every numerator leaves the
+module through :func:`_as_value`.
+
 Belief and its inversion compare keys: phi lies below psi iff
-``key(phi) & ~key(psi) == 0``.
+``key(phi) & ~key(psi) == 0``.  The module reads three names from its
+algebra: ``key`` (a proposition's class key), ``top`` and ``rep_by_key``
+(class key to representative, in representative order).
 """
 
 from __future__ import annotations
@@ -44,14 +50,21 @@ class InconsistentBelief(BbaError):
         )
 
 
-def _is_exact(values: Iterable) -> bool:
-    return all(isinstance(v, (int, Fraction)) for v in values)
+def _numerators(values: list) -> tuple[list, int, bool]:
+    """The values as numerators over one denominator, and whether they are exact.
 
-
-def _over_common_denominator(values: list) -> tuple[list[int], int]:
-    """Integer numerators of rational values over the lcm of their denominators."""
+    When every value is an ``int`` or ``Fraction``: integer numerators over
+    the lcm of the denominators.  Otherwise the values as given, over 1.
+    """
+    if not all(isinstance(v, (int, Fraction)) for v in values):
+        return values, 1, False
     den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
+    return [v.numerator * (den // v.denominator) for v in values], den, True
+
+
+def _as_value(v, den: int, exact: bool):
+    """The value a numerator stands for: a ``Fraction`` when exact, else v."""
+    return Fraction(v, den) if exact else v
 
 
 def _below(num: Mapping[int, object], K: int):
@@ -85,11 +98,7 @@ class FiniteBba:
         exhaustive: bool = True,
     ) -> None:
         keys = [algebra.key(p) for p in mass]
-        values = list(mass.values())
-        exact = _is_exact(values)
-        den = 1
-        if exact:
-            values, den = _over_common_denominator(values)
+        values, den, exact = _numerators(list(mass.values()))
         self._fill(algebra, zip(keys, values), den, exact, exhaustive)
 
     @classmethod
@@ -123,12 +132,8 @@ class FiniteBba:
                 raise BbaError("mass on TOP violates the exhaustivity convention")
             num[k] = num.get(k, 0) + v
             total += v
-        deviation = total - den
-        if exact:
-            deviation = Fraction(deviation, den)
-        if abs(deviation) > MASS_TOL:
-            total = Fraction(total, den) if exact else total
-            raise BbaError(f"total mass {total} is not 1")
+        if abs(_as_value(total - den, den, exact)) > MASS_TOL:
+            raise BbaError(f"total mass {_as_value(total, den, exact)} is not 1")
         self.algebra = algebra
         self.exhaustive = exhaustive
         self._num = num
@@ -137,13 +142,7 @@ class FiniteBba:
         self._mass = None
 
     def _value(self, v):
-        return Fraction(v, self._den) if self._exact else v
-
-    def _values(self) -> Mapping[int, object]:
-        """The masses by key, as :attr:`mass` gives them."""
-        if not self._exact:
-            return self._num
-        return {k: Fraction(v, self._den) for k, v in self._num.items()}
+        return _as_value(v, self._den, self._exact)
 
     @property
     def mass(self) -> Mapping[Proposition, object]:
@@ -151,7 +150,7 @@ class FiniteBba:
         if self._mass is None:
             rep = self.algebra.rep_by_key
             self._mass = MappingProxyType(
-                {rep[k]: v for k, v in self._values().items()}
+                {rep[k]: self._value(v) for k, v in self._num.items()}
             )
         return self._mass
 
@@ -181,8 +180,8 @@ def bel(m: FiniteBba, phi: Proposition):
 
 def bel_table(m: FiniteBba) -> dict[Proposition, object]:
     """Belief of every representative of the algebra."""
-    key, num = m.algebra.key, m._num
-    return {rep: m._value(_below(num, key(rep))) for rep in m.algebra.representatives}
+    num = m._num
+    return {rep: m._value(_below(num, k)) for k, rep in m.algebra.rep_by_key.items()}
 
 
 def bba_from_bel(
@@ -200,25 +199,19 @@ def bba_from_bel(
     """
     key = algebra.key
     values = {key(p): v for p, v in bel_values.items()}
-    missing = [p for p in algebra.representatives if key(p) not in values]
+    missing = [rep for k, rep in algebra.rep_by_key.items() if k not in values]
     if missing:
-        raise BbaError(
-            f"belief table misses {format_proposition(missing[0])} "
-            f"(and {len(missing) - 1} more)" if len(missing) > 1
-            else f"belief table misses {format_proposition(missing[0])}"
-        )
-    exact = _is_exact(values.values())
-    den = 1
-    if exact:
-        nums, den = _over_common_denominator(list(values.values()))
-        values = dict(zip(values, nums))
+        more = f" (and {len(missing) - 1} more)" if len(missing) > 1 else ""
+        raise BbaError(f"belief table misses {format_proposition(missing[0])}{more}")
+    nums, den, exact = _numerators(list(values.values()))
+    values = dict(zip(values, nums))
     # Masses recovered so far, by key.  Their classes were swept before K,
     # so each one that lies below K lies strictly below it.
     mass: dict[int, object] = {}
     for K in sorted(values):
         mv = values[K] - _below(mass, K)
         if mv < 0:
-            value = Fraction(mv, den) if exact else mv
+            value = _as_value(mv, den, exact)
             if value < -MASS_TOL:
                 raise InconsistentBelief(algebra.rep_by_key[K], value)
         elif mv > 0:
@@ -238,7 +231,10 @@ def fuse(m1: FiniteBba, m2: FiniteBba) -> FiniteBba:
     if m1.algebra is not m2.algebra:
         raise BbaError("cannot fuse assignments over different algebras")
     exact = m1._exact and m2._exact
-    num1, num2 = (m._num if exact else m._values() for m in (m1, m2))
+    num1, num2 = (
+        m._num if exact else {k: m._value(v) for k, v in m._num.items()}
+        for m in (m1, m2)
+    )
     out: dict[int, object] = {}
     for k1, v1 in num1.items():
         for k2, v2 in num2.items():

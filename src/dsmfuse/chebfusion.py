@@ -183,9 +183,9 @@ def fit(f: Callable[[np.ndarray, np.ndarray], np.ndarray], degree: int) -> ChebD
     if degree < 2 or degree & (degree - 1):
         raise ValueError("degree must be a power of two >= 2")
     x = lobatto_nodes(degree)
-    values = np.asarray(f(x[:, None], x[None, :]), dtype=float)
-    if values.shape != (degree + 1, degree + 1):
-        values = np.broadcast_to(values, (degree + 1, degree + 1)).astype(float)
+    # f may return a scalar, a row or a column; fit only reads the view
+    sample = np.asarray(f(x[:, None], x[None, :]), dtype=float)
+    values = np.broadcast_to(sample, (degree + 1,) * 2)
     if not np.all(np.isfinite(values)):
         raise ValueError("sampled values must be finite")
     tol = FIT_RESIDUAL * _EPS * np.abs(values).max()

@@ -59,8 +59,20 @@ _degree = _checked_int(lambda d: d >= 2 and not d & (d - 1), "degree must be a p
 _grid_size = _checked_int(lambda g: g >= 2, "grid size must be >= 2")
 
 
+def _within_guard(run, args):
+    """Call ``run(n, max_atoms=...)``, reporting its atom guard as a usage error.
+
+    argparse has already rejected n < 1, so the one ValueError left is an n
+    above ``--max-atoms``: a bad option value like any other.
+    """
+    try:
+        return run(args.n, max_atoms=args.max_atoms)
+    except ValueError as exc:
+        raise CliError(str(exc), EXIT_USAGE) from None
+
+
 def cmd_hyperpower(args) -> int:
-    universe = prebool.enumerate_hyperpower(args.n, max_atoms=args.max_atoms)
+    universe = _within_guard(prebool.enumerate_hyperpower, args)
     if args.constraints:
         try:
             gamma = prebool.parse_constraints(Path(args.constraints).read_text(), args.n)
@@ -78,7 +90,7 @@ def cmd_hyperpower(args) -> int:
 
 
 def cmd_ordered(args) -> int:
-    report = ordered.verify_isomorphism(args.n, max_atoms=args.max_atoms)
+    report = _within_guard(ordered.verify_isomorphism, args)
     print(f"classes: {report.class_count}")
     print(f"staircases: {report.staircase_count}")
     for problem in report.counterexamples:

@@ -1,5 +1,6 @@
 import math
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -336,3 +337,53 @@ def test_int_masses_come_back_as_fractions(free2):
         assert type(value) is Fraction
     assert bf.fuse(vacuous, vacuous) == vacuous
 
+
+
+@pytest.mark.parametrize("which", ["example3", "free3"])
+def test_belief_reads_only_key_top_and_rep_by_key(example3_algebra, which):
+    # Over a stand-in that holds just these three names of the Quotient,
+    # every result, key order and error equals the one over the Quotient.
+    q = example3_algebra if which == "example3" else pb.free_algebra(3)
+    stand_in = types.SimpleNamespace(key=q.key, top=q.top, rep_by_key=q.rep_by_key)
+    rng = random.Random(19)
+    exact = [dict(random_bba(q, rng).mass) for _ in range(2)]
+    masses = [*exact, {p: float(v) for p, v in exact[0].items()}]
+    a0 = q.rep_by_key[q.key(pb.atom_prop(3, 0))]
+
+    def outcomes(algebra):
+        m1, m2, m3 = (bf.FiniteBba(algebra, m) for m in masses)
+        out = []
+        for m in (m1, m3, bf.fuse(m1, m2), bf.fuse(m2, m3), bf.fuse(m3, m3)):
+            table = bf.bel_table(m)
+            out += [
+                m.mass,
+                [m[p] for p in q.universe],
+                [bf.bel(m, p) for p in q.universe],
+                table,
+                bf.bba_from_bel(algebra, table).mass,
+            ]
+        inconsistent = bf.bel_table(m1)
+        inconsistent[a0] -= 2
+        with pytest.raises(bf.InconsistentBelief) as raised:
+            bf.bba_from_bel(algebra, inconsistent)
+        out.append((raised.value.proposition, raised.value.value))
+        return out
+
+    got, want = outcomes(stand_in), outcomes(q)
+    assert got == want
+    # repr shows each value's type and each mapping's key order
+    assert repr(got) == repr(want)
+    assert got[-1][0] == a0
+
+
+def test_inversion_names_the_first_missing_class(free2):
+    with pytest.raises(bf.BbaError) as raised:
+        bf.bba_from_bel(free2, {})
+    assert type(raised.value) is bf.BbaError
+    assert str(raised.value) == "belief table misses bot (and 5 more)"
+    a = pb.atom_prop(2, 0)
+    table = bf.bel_table(bf.FiniteBba(free2, {a: 1}))
+    del table[a]
+    with pytest.raises(bf.BbaError) as raised:
+        bf.bba_from_bel(free2, table)
+    assert str(raised.value) == "belief table misses a0"

@@ -179,10 +179,14 @@ def test_bad_option_value_is_a_usage_error(tmp_path, capsys, argv, message):
     assert not out_dir.exists()
 
 
-def test_enumeration_guard_is_a_numeric_failure(capsys):
+def test_atom_guard_is_a_usage_error(capsys):
     code, out, err = run(capsys, "hyperpower", "-n", "7")
     assert (code, out, err) == (
-        cli.EXIT_NUMERIC, "", "error: n=7 exceeds the enumeration guard (4)\n"
+        cli.EXIT_USAGE, "", "error: n=7 exceeds the enumeration guard (4)\n"
+    )
+    code, out, err = run(capsys, "ordered", "-n", "5")
+    assert (code, out, err) == (
+        cli.EXIT_USAGE, "", "error: n=5 exceeds the verification guard (4)\n"
     )
 
 

@@ -284,6 +284,17 @@ def test_fit_keeps_only_the_resolved_block():
         assert d.degree == 512 and max(d._block.shape) <= 65
 
 
+def test_fit_of_a_column_or_a_scalar_equals_the_fit_of_its_full_grid():
+    for f, full in (
+        (lambda x, y: np.exp(-x**2), lambda x, y: np.exp(-x**2) + 0 * y),
+        (lambda x, y: 0.75, lambda x, y: 0.75 + 0 * x * y),
+    ):
+        d, expected = cf.fit(f, 512), cf.fit(full, 512)
+        assert d.degree == expected.degree == 512
+        assert d._block.shape == expected._block.shape
+        assert d._block.tobytes() == expected._block.tobytes()
+
+
 def test_chop_at_degree_512_takes_about_a_millisecond():
     d = cf.normalize(cf.fit(MM1, 512))
     times = []

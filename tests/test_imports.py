@@ -59,7 +59,7 @@ def test_finite_subcommands_load_neither_library(tmp_path):
         (["hyperpower", "-n", "3", "-c", str(pair)], 0),
         (["ordered", "-n", "3"], 0),
         (["hyperpower", "-n", "0"], 1),
-        (["hyperpower", "-n", "7"], 3),
+        (["hyperpower", "-n", "7"], 1),
     ):
         loaded, out = heavy_modules_after(cli_code(argv))
         assert out.splitlines()[-1] == f"exit {exit_code}", argv
