@@ -195,13 +195,11 @@ def fit(f: Callable[[np.ndarray, np.ndarray], np.ndarray], degree: int) -> ChebD
         c = _values_to_coeffs(values[::step, ::step], level)
         k = chop(ChebDensity(c))
         if k < level:
-            # the residual at every node, formed as evaluate forms the grid
-            block = c[: k + 1, : k + 1]
-            vx = C.chebvander(x, k)
-            residual = vx @ block @ vx.T
+            d = ChebDensity._from_block(c[: k + 1, : k + 1], degree)
+            residual = evaluate(d, x[:, None], x[None, :])
             residual -= values
             if max(residual.max(), -residual.min()) <= tol:
-                return ChebDensity._from_block(block, degree)
+                return d
         level *= 2
     return ChebDensity._from_block(_values_to_coeffs(values, degree), degree)
 
@@ -263,8 +261,6 @@ def _axis_cumulative(coeffs: np.ndarray, axis: int, full_at: int) -> np.ndarray:
     otherwise; its constant term b_0 starts at 0 and is then fixed so the
     result vanishes at the start point.
     """
-    if full_at not in (-1, 1):
-        raise ValueError("full_at must be -1 or +1")
     a = np.moveaxis(coeffs, axis, 0)
     m = a.shape[0]
     anti = np.zeros((m + 1, a.shape[1]))
@@ -291,6 +287,8 @@ def cumulative(d: ChebDensity, corner: tuple[int, int]) -> ChebDensity:
     (-1, 1).  The result has degree n+1; its block is the integral of the
     density's block, one coefficient longer per axis.
     """
+    if corner[0] not in (-1, 1) or corner[1] not in (-1, 1):
+        raise ValueError(f"corner coordinates must be -1 or +1, got {corner}")
     c = _axis_cumulative(d._block, axis=0, full_at=corner[0])
     c = _axis_cumulative(c, axis=1, full_at=corner[1])
     return ChebDensity._from_block(c, d.degree + 1)
@@ -330,6 +328,9 @@ def chop(d: ChebDensity) -> int:
     envelope: entry k is the largest |c[i, j]| with max(i, j) >= k.  A
     series of fewer than 17 coefficients per axis, or one whose envelope has
     no plateau, keeps its degree; a longer all-zero series chops to 0.
+    standardChop's branch for an envelope that is zero at the plateau point
+    is omitted: this scan stops before such a point, since a zero entry is
+    itself a plateau.
     """
     n = d.degree + 1
     if n < 17:
@@ -352,9 +353,10 @@ def chop(d: ChebDensity) -> int:
     hits = np.flatnonzero(plateau)
     if hits.size == 0:
         return d.degree
-    plateau_point, j2 = j[hits[0]] - 1, j2[hits[0]]
-    if env[plateau_point - 1] == 0:
-        return plateau_point - 1
+    # standardChop cuts at j - 1 when env(j - 1) is 0, which cannot happen
+    # here: env is non-increasing with env(1) = 1, and e1 == 0 counts as a
+    # plateau, so a zero env(j - 1) would have stopped the scan at j - 1.
+    j2 = j2[hits[0]]
     # Cut where the envelope up to j2, tilted up by a line that favours
     # shorter series, is least; the first entry below tol^(7/6) counts as
     # tol^(7/6) and ends the search.

@@ -6,6 +6,11 @@ fusion experiment on [-1, 1]), ``fuse`` (combine two coefficient files) and
 ``belief`` (query a belief value).  Exit codes: 0 success, 1 usage, 2 input
 parse error, 3 numeric failure, including an allocation that fails.
 
+A bad option value is a usage error and exits 1, whether argparse or the
+library finds it: among others an ``-n`` above ``--max-atoms``, a
+``--max-atoms`` below 1, a ``belief`` endpoint outside [-1, 1] or NaN, and a
+non-finite ``fuse-demo`` centre.
+
 Each subcommand imports only what it runs: ``hyperpower`` and ``ordered`` load
 no numpy, and ``fuse``, ``fuse-demo`` and ``belief`` load numpy alone, through
 :mod:`dsmfuse.chebfusion`.
@@ -14,6 +19,7 @@ no numpy, and ``fuse``, ``fuse-demo`` and ``belief`` load numpy alone, through
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
@@ -36,6 +42,8 @@ def _parse_center(text: str) -> tuple[float, float]:
         cx, cy = (float(v) for v in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected 'cx,cy', got {text!r}") from None
+    if not (math.isfinite(cx) and math.isfinite(cy)):
+        raise argparse.ArgumentTypeError(f"centre must be finite, got {text!r}")
     return cx, cy
 
 
@@ -55,24 +63,36 @@ def _checked_int(ok, requirement: str):
 
 
 _atom_count = _checked_int(lambda n: n >= 1, "need at least one atom")
+_atom_guard = _checked_int(lambda m: m >= 1, "atom guard must be >= 1")
 _degree = _checked_int(lambda d: d >= 2 and not d & (d - 1), "degree must be a power of two >= 2")
 _grid_size = _checked_int(lambda g: g >= 2, "grid size must be >= 2")
 
 
-def _within_guard(run, args):
-    """Call ``run(n, max_atoms=...)``, reporting its atom guard as a usage error.
+def _usage(call, *args, **kwargs):
+    """Call a library function whose only ValueError checks option values.
 
-    argparse has already rejected n < 1, so the one ValueError left is an n
-    above ``--max-atoms``: a bad option value like any other.
+    That error is a bad option value like any other, so it exits 1 (usage):
+    the atom guard once argparse has checked ``-n`` and ``--max-atoms``, and
+    the interval that ``belief``'s endpoints describe.
     """
     try:
-        return run(args.n, max_atoms=args.max_atoms)
+        return call(*args, **kwargs)
     except ValueError as exc:
         raise CliError(str(exc), EXIT_USAGE) from None
 
 
+def _load(path):
+    """Read a ``.cheb`` file; one that cannot be read or parsed exits 2."""
+    from . import chebfusion as cf
+
+    try:
+        return cf.load_coeffs(path)
+    except (OSError, ValueError) as exc:
+        raise CliError(str(exc), EXIT_PARSE) from None
+
+
 def cmd_hyperpower(args) -> int:
-    universe = _within_guard(prebool.enumerate_hyperpower, args)
+    universe = _usage(prebool.enumerate_hyperpower, args.n, max_atoms=args.max_atoms)
     if args.constraints:
         try:
             gamma = prebool.parse_constraints(Path(args.constraints).read_text(), args.n)
@@ -90,7 +110,7 @@ def cmd_hyperpower(args) -> int:
 
 
 def cmd_ordered(args) -> int:
-    report = _within_guard(ordered.verify_isomorphism, args)
+    report = _usage(ordered.verify_isomorphism, args.n, max_atoms=args.max_atoms)
     print(f"classes: {report.class_count}")
     print(f"staircases: {report.staircase_count}")
     for problem in report.counterexamples:
@@ -142,12 +162,7 @@ def cmd_fuse_demo(args) -> int:
 def cmd_fuse(args) -> int:
     from . import chebfusion as cf
 
-    try:
-        m1 = cf.load_coeffs(args.first)
-        m2 = cf.load_coeffs(args.second)
-    except (OSError, ValueError) as exc:
-        raise CliError(str(exc), EXIT_PARSE) from None
-    fused = cf.fuse(m1, m2)
+    fused = cf.fuse(_load(args.first), _load(args.second))
     try:
         cf.save_coeffs(fused, args.out)
     except OSError as exc:
@@ -159,12 +174,8 @@ def cmd_fuse(args) -> int:
 def cmd_belief(args) -> int:
     from . import chebfusion as cf
 
-    try:
-        m = cf.load_coeffs(args.bba)
-    except (OSError, ValueError) as exc:
-        raise CliError(str(exc), EXIT_PARSE) from None
-    value = cf.belief(m, cf.GeneralizedInterval(args.lo, args.hi))
-    print(f"{value:.12g}")
+    iv = _usage(cf.GeneralizedInterval, args.lo, args.hi)
+    print(f"{cf.belief(_load(args.bba), iv):.12g}")
     return 0
 
 
@@ -175,12 +186,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hyperpower", help="enumerate a free or constrained algebra")
     p.add_argument("-n", type=_atom_count, required=True, help="number of atoms")
     p.add_argument("-c", "--constraints", help="constraint file, one '<expr> = <expr>' per line")
-    p.add_argument("--max-atoms", type=int, default=prebool.DEFAULT_ATOM_GUARD)
+    p.add_argument("--max-atoms", type=_atom_guard, default=prebool.DEFAULT_ATOM_GUARD)
     p.set_defaults(func=cmd_hyperpower)
 
     p = sub.add_parser("ordered", help="verify the staircase isomorphism")
     p.add_argument("-n", type=_atom_count, required=True)
-    p.add_argument("--max-atoms", type=int, default=prebool.DEFAULT_ATOM_GUARD)
+    p.add_argument("--max-atoms", type=_atom_guard, default=prebool.DEFAULT_ATOM_GUARD)
     p.set_defaults(func=cmd_ordered)
 
     p = sub.add_parser("fuse-demo", help="run the Gaussian fusion experiment")

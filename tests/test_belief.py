@@ -62,6 +62,15 @@ def test_bba_rejects_non_finite_mass(free2, value):
         bf.FiniteBba(free2, {a: Fraction(1, 2), b: value})
 
 
+def test_bba_equality_and_repr(free2):
+    m = bf.FiniteBba(free2, {pb.atom_prop(2, 0): 1})
+    assert (m == 1) is False
+    assert m == bf.FiniteBba(free2, {pb.atom_prop(2, 0): Fraction(2, 2)})
+    text = repr(m)
+    assert text.startswith("FiniteBba(") and text.endswith("exhaustive=True)")
+    assert "Fraction(1, 1)" in text
+
+
 def test_bel_of_top_is_one(free2):
     rng = random.Random(1)
     for _ in range(10):

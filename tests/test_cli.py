@@ -166,6 +166,13 @@ def test_ordered_needs_an_atom(capsys):
     (["ordered", "-n", "-1"], "argument -n: need at least one atom, got -1"),
     (["fuse-demo", "--degree", "7"], "argument --degree: degree must be a power of two >= 2, got 7"),
     (["fuse-demo", "--grid", "1"], "argument --grid: grid size must be >= 2, got 1"),
+    (["hyperpower", "-n", "abc"], "argument -n: expected an integer, got 'abc'"),
+    (["hyperpower", "-n", "3", "--max-atoms", "-1"],
+     "argument --max-atoms: atom guard must be >= 1, got -1"),
+    (["ordered", "-n", "3", "--max-atoms", "0"],
+     "argument --max-atoms: atom guard must be >= 1, got 0"),
+    (["fuse-demo", "--gauss1", "nan,0"], "argument --gauss1: centre must be finite, got 'nan,0'"),
+    (["fuse-demo", "--gauss2", "0,-inf"], "argument --gauss2: centre must be finite, got '0,-inf'"),
 ])
 def test_bad_option_value_is_a_usage_error(tmp_path, capsys, argv, message):
     out_dir = tmp_path / "demo"
@@ -188,6 +195,18 @@ def test_atom_guard_is_a_usage_error(capsys):
     assert (code, out, err) == (
         cli.EXIT_USAGE, "", "error: n=5 exceeds the verification guard (4)\n"
     )
+
+
+def test_belief_endpoint_off_the_square_is_a_usage_error(tmp_path, capsys):
+    # The interval is built before the file is read, so a missing file does
+    # not hide a bad endpoint.
+    path = tmp_path / "m.cheb"
+    cf.save_coeffs(cf.normalize(cf.fit(cf.gaussian(-1, 0), 16)), path)
+    for bba in (path, tmp_path / "missing.cheb"):
+        for lo, hi in (("2", "0"), ("nan", "0"), ("0", "inf")):
+            assert run(capsys, "belief", str(bba), "--", lo, hi) == (
+                cli.EXIT_USAGE, "", "error: interval endpoints must lie in [-1, 1]\n"
+            )
 
 
 @pytest.mark.parametrize("option", ["--gauss1", "--gauss2"])

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 import tracemalloc
 
@@ -58,7 +59,7 @@ def test_interval_properties():
     assert iv.center == 0.0
     contradiction = cf.GeneralizedInterval(0.5, -0.5)
     assert contradiction.width == -0.5
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("interval endpoints must lie in [-1, 1]")):
         cf.GeneralizedInterval(-1.5, 0)
 
 
@@ -117,7 +118,7 @@ def test_evaluate_examples():
     assert cf.evaluate(quarter, 0.3, -0.7) == pytest.approx(0.25)
     d = cf.fit(MM1, 32)
     assert cf.evaluate(d, 0.0, 0.0) == pytest.approx(math.exp(-1), abs=1e-10)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("evaluation point outside [-1, 1]^2")):
         cf.evaluate(d, 1.5, 0.0)
 
 
@@ -161,7 +162,7 @@ def test_normalize():
     n2 = cf.normalize(cf.fit(MM1, 64))
     assert cf.integral_full(n2) == pytest.approx(1.0, abs=1e-12)
     assert np.abs(cf.normalize(n2).coeffs - n2.coeffs).max() < 1e-15
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cannot normalize: total mass"):
         cf.normalize(cf.ChebDensity(np.zeros((3, 3))))
 
 
@@ -207,7 +208,7 @@ def test_belief_examples(m1):
     value = cf.belief(m1, cf.GeneralizedInterval(0, 0))
     assert 0 <= value <= 1
     unnormalized = cf.fit(MM1, 32)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("density is not normalized (integral")):
         cf.belief(unnormalized, cf.GeneralizedInterval(0, 0))
 
 
@@ -326,7 +327,7 @@ def test_a_density_holds_its_block(m1, m2):
         for c in (d._block, d.coeffs):
             with pytest.raises(ValueError):
                 c[0, 0] = 1.0
-        with pytest.raises(AttributeError):
+        with pytest.raises(AttributeError, match="a ChebDensity is read-only"):
             d.degree = 3
     c = np.zeros((5, 5))
     c[0, 0], c[1, 2] = 0.25, -0.0
@@ -455,6 +456,33 @@ def test_coeff_file_keeps_a_trailing_negative_zero(tmp_path, row, col):
     path.write_text("cheb2d 3\n" + "".join(" ".join(r) + "\n" for r in rows))
     cf.save_coeffs(cf.load_coeffs(path), again)
     assert again.read_bytes() == path.read_bytes()
+
+
+def test_constructor_rejects_a_non_square_or_non_finite_matrix():
+    for coeffs in ([[1.0, 2.0]], [1.0, 2.0]):
+        with pytest.raises(ValueError, match="coefficient matrix must be square"):
+            cf.ChebDensity(coeffs)
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        cf.ChebDensity([[math.nan]])
+
+
+def test_cumulative_rejects_a_corner_off_the_square():
+    m = cf.normalize(cf.fit(MM1, 16))
+    for corner in ((0, 1), (1, 0), (-1, 2)):
+        with pytest.raises(ValueError, match=re.escape(
+            f"corner coordinates must be -1 or +1, got {corner}"
+        )):
+            cf.cumulative(m, corner=corner)
+
+
+def test_grid_size_below_two_is_rejected(tmp_path):
+    d = cf.normalize(cf.fit(MM1, 16))
+    path = tmp_path / "one.grid"
+    with pytest.raises(ValueError, match="grid size must be >= 2"):
+        cf.grid_samples(d, 1)
+    with pytest.raises(ValueError, match="grid size must be >= 2"):
+        cf.save_grid(d, path, g=1)
+    assert not path.exists()
 
 
 def test_coeff_file_rejects_garbage(tmp_path):

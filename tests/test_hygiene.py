@@ -1,12 +1,14 @@
 """Every name a ``src/dsmfuse`` module imports, and every private name it
-defines at module level, is used in that module."""
+defines at module level, is used in that module; every error text it raises
+is asserted somewhere under ``tests/``."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "dsmfuse"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "dsmfuse"
 
 
 def imported_names(tree):
@@ -52,3 +54,28 @@ def test_every_private_name_is_used(path):
     }
     unused = sorted(set(private_names(tree)) - loaded)
     assert not unused, f"{path.name} defines {unused} without using them"
+
+
+def error_texts(tree):
+    # the longest constant part of each E("...") or E(f"...") that is raised
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args):
+            continue
+        message = node.exc.args[0]
+        if isinstance(message, ast.Constant) and isinstance(message.value, str):
+            parts = [message.value]
+        elif isinstance(message, ast.JoinedStr):
+            parts = [v.value for v in message.values if isinstance(v, ast.Constant)]
+        else:
+            continue
+        longest = max((part.strip() for part in parts), key=len, default="")
+        if len(longest) >= 8:
+            yield node.lineno, longest
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_error_text_is_asserted(path):
+    tests = "".join(test.read_text() for test in TESTS.glob("*.py"))
+    tree = ast.parse(path.read_text(), filename=str(path))
+    missing = [f"{line}: {text!r}" for line, text in error_texts(tree) if text not in tests]
+    assert not missing, f"{path.name} raises texts that no test names: {missing}"

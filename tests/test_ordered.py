@@ -85,9 +85,9 @@ def test_smile_examples():
 
 
 def test_smile_rejects_constants():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="smile is undefined on BOTTOM and TOP"):
         od.smile(pb.bottom(2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="smile is undefined on BOTTOM and TOP"):
         od.smile(pb.top(2))
 
 
@@ -131,6 +131,12 @@ def test_verify_isomorphism_small():
         assert report.ok, report.counterexamples
     assert od.verify_isomorphism(1).class_count == 1
     assert od.verify_isomorphism(2).class_count == 4
+
+
+def test_zero_atoms_are_rejected():
+    for build in (pb.enumerate_hyperpower, od.order_constraints, od.verify_isomorphism):
+        with pytest.raises(ValueError, match="need at least one atom"):
+            build(0)
 
 
 def test_verify_isomorphism_guard():
@@ -178,15 +184,15 @@ def test_staircase_validation():
     with pytest.raises(ValueError, match="non-empty"):
         od.Staircase(2, 0)
     # column 1 left undefined after column 0 is defined: (0, 1) missing
-    with pytest.raises(ValueError, match="up-closed"):
+    with pytest.raises(ValueError, match="staircase must be up-closed"):
         od.Staircase(2, so.table_of([(0, 0)]))
     # decreasing thresholds (0, 1, 0): (1, 2) missing above (1, 1)
-    with pytest.raises(ValueError, match="up-closed"):
+    with pytest.raises(ValueError, match="staircase must be up-closed"):
         od.Staircase(3, so.table_of([(0, 0), (0, 1), (1, 1), (0, 2)]))
     # out-of-range thresholds: bits of the empty set, of the non-interval
     # {a0, a2}, of an atom beyond n, and a negative table
     for n, table in ((2, 1), (3, 1 << 0b101), (2, 1 << 0b100), (2, -1)):
-        with pytest.raises(ValueError, match="outside the triangle"):
+        with pytest.raises(ValueError, match="staircase table has a bit outside the triangle"):
             od.Staircase(n, table | so.table_of([(0, n - 1)]))
     # thresholds (None, 0, 1) construct
     pairs = {(0, 1), (0, 2), (1, 2)}

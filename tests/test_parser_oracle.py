@@ -1,7 +1,7 @@
 """Differential test: the regex-token parser against the hand-written one."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dsmfuse import prebool as pb
@@ -27,6 +27,7 @@ def outcome(parse, text, n):
 
 @settings(max_examples=1000, deadline=None)
 @given(st.one_of(GRAMMAR_TEXT, st.text(max_size=40)), st.sampled_from([1, 2, 4, 12]))
+@example("(a0 a1", 2)
 def test_parse_matches_the_hand_written_parser(text, n):
     assert outcome(pb.parse_proposition, text, n) == outcome(
         parser_oracle.parse_proposition, text, n

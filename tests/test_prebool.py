@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -40,11 +41,25 @@ def test_make_prop_accepts_a_generator():
     assert pb.make_prop(2, (m for m in [1, 2])) == pb.join(a, b)
 
 
+def test_make_prop_rejects_clauses_outside_the_atoms():
+    for mask, text in ((4, "0x4"), (-1, "-0x1")):
+        with pytest.raises(ValueError, match=re.escape(
+            f"clause {text} references atoms outside [0, 2)"
+        )):
+            pb.make_prop(2, [mask])
+
+
+def test_operations_reject_mixed_atom_universes():
+    for op in (pb.meet, pb.join, pb.leq):
+        with pytest.raises(ValueError, match="mixed atom universes: 2 vs 3"):
+            op(pb.top(2), pb.top(3))
+
+
 def test_negative_atom_count_is_rejected():
     for build in (pb.bottom, pb.top, lambda n: pb.varphi(n, [[]]), lambda n: pb.make_prop(n, [])):
-        with pytest.raises(ValueError, match="negative"):
+        with pytest.raises(ValueError, match="is negative"):
             build(-1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("atom index 0 out of range [0, -1)")):
         pb.atom_prop(-1, 0)
     assert pb.top(0) == pb.varphi(0, [[]]) and pb.bottom(0) == pb.make_prop(0, [])
 
@@ -206,15 +221,15 @@ def test_quotient_rejects_foreign_proposition():
 def test_quotient_rejects_malformed_universe():
     universe = pb.enumerate_hyperpower(2)
     a, b = pb.atom_prop(2, 0), pb.atom_prop(2, 1)
-    with pytest.raises(ValueError, match="duplicate"):
+    with pytest.raises(ValueError, match="universe contains duplicate propositions"):
         pb.quotient(universe + [a], pb.ConstraintSet(()))
     # dropping a & b leaves the meet of a and b outside
     open_universe = [p for p in universe if p != pb.meet(a, b)]
     with pytest.raises(ValueError, match="a0 & a1"):
         pb.quotient(open_universe, pb.ConstraintSet(()))
-    with pytest.raises(ValueError, match="mixes"):
+    with pytest.raises(ValueError, match="universe mixes atom universes"):
         pb.quotient(universe + [pb.atom_prop(3, 0)], pb.ConstraintSet(()))
-    with pytest.raises(ValueError, match="empty"):
+    with pytest.raises(ValueError, match="universe is empty"):
         pb.quotient([], pb.ConstraintSet(()))
 
 
@@ -257,6 +272,13 @@ def test_parse_constraints_reports_line():
     with pytest.raises(pb.ParseError) as err:
         pb.parse_constraints("a0 = a1\na0 & = a1\n", 2)
     assert err.value.line == 2
+
+
+def test_parse_constraints_needs_one_equals_sign():
+    for text in ("a0 = a1\na0\n", "a0 = a1\na0 = a1 = a0\n"):
+        with pytest.raises(pb.ParseError, match="expected exactly one '='") as err:
+            pb.parse_constraints(text, 2)
+        assert err.value.line == 2
 
 
 def test_parse_rejects_unknown_atom():
