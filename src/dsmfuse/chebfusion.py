@@ -246,7 +246,7 @@ def integral_full(d: ChebDensity) -> float:
 def normalize(d: ChebDensity) -> ChebDensity:
     """Scale so the total integral is 1."""
     total = integral_full(d)
-    if total <= 0:
+    if not total > 0:  # a NaN total fails too
         raise ValueError(f"cannot normalize: total mass {total} <= 0")
     return ChebDensity._from_block(d._block / total, d.degree)
 
@@ -316,7 +316,7 @@ def belief_surface(m: ChebDensity) -> ChebDensity:
 
 def _require_normalized(d: ChebDensity) -> None:
     total = integral_full(d)
-    if abs(total - 1) > NORMALIZATION_TOL:
+    if not abs(total - 1) <= NORMALIZATION_TOL:  # a NaN total fails too
         raise ValueError(f"density is not normalized (integral {total})")
 
 
@@ -451,14 +451,22 @@ def save_coeffs(d: ChebDensity, path) -> None:
     with open(path, "w") as fh:
         fh.write(f"cheb2d {d.degree}\n")
         fh.writelines(" ".join(map(repr, row)) + tail for row in d._block.tolist())
-        fh.write(("0.0" + " 0.0" * (n - 1) + "\n") * (n - size))
+        fh.write(_zero_row_text(d.degree) * (n - size))
+
+
+def _zero_row_text(degree: int) -> str:
+    # save_coeffs's all-zero row, 4 * degree + 4 characters long
+    return "0.0" + " 0.0" * degree + "\n"
 
 
 def load_coeffs(path) -> ChebDensity:
     """Read a :func:`save_coeffs` file, stopping at the first malformed row.
 
     Malformed text, including bytes that do not decode, raises ValueError,
-    and every such error's text starts with ``f"{path}: "``.
+    and every such error's text starts with ``f"{path}: "``.  A line whose
+    text is exactly the writer's all-zero row becomes zeros without a parse;
+    every other line, an all-zero row written any other way included, is
+    split and parsed.
     """
     try:
         with open(path) as fh:
@@ -467,8 +475,16 @@ def load_coeffs(path) -> ChebDensity:
                 raise ValueError("malformed coefficient header")
             n = int(header[1])
             rows = []
+            zero_row = None  # built only once a line of its length is read
             for k in range(1, n + 2):
-                rows.append(list(map(float, fh.readline().split())))
+                line = fh.readline()
+                if len(line) == 4 * n + 4:
+                    if zero_row is None:
+                        zero_text, zero_row = _zero_row_text(n), [0.0] * (n + 1)
+                    if line == zero_text:
+                        rows.append(zero_row)
+                        continue
+                rows.append(list(map(float, line.split())))
                 if len(rows[-1]) != n + 1:
                     raise ValueError(
                         f"row {k} holds {len(rows[-1])} coefficients, expected {n + 1}"
@@ -487,9 +503,16 @@ def grid_samples(d: ChebDensity, g: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def save_grid(d: ChebDensity, path, g: int = 64) -> None:
-    """Surface-plot block format: ``x y value`` rows, blank line per x-block."""
+    """Surface-plot block format: ``x y value`` rows, blank line per x-block.
+
+    Each x-block is one ``%`` template, its labels in place and a ``%.12e``
+    per value, filled with that row of samples.
+    """
     axis, values = grid_samples(d, g)
     labels = [f"{a:.6f}" for a in axis.tolist()]
+    cells = [f"{y} %.12e" for y in labels]
     with open(path, "w") as fh:
-        for x, row in zip(labels, values.tolist()):
-            fh.write("".join([f"{x} {y} {v:.12e}\n" for y, v in zip(labels, row)]) + "\n")
+        fh.writelines(
+            (f"{x} " + f"\n{x} ".join(cells) + "\n\n") % tuple(row)
+            for x, row in zip(labels, values.tolist())
+        )

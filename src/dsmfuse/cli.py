@@ -4,7 +4,8 @@ Subcommands: ``hyperpower`` (enumerate or quotient a finite algebra),
 ``ordered`` (staircase isomorphism report), ``fuse-demo`` (the Gaussian
 fusion experiment on [-1, 1]), ``fuse`` (combine two coefficient files) and
 ``belief`` (query a belief value).  Exit codes: 0 success, 1 usage, 2 input
-parse error, 3 numeric failure, including an allocation that fails.
+parse error, 3 numeric failure, including an allocation that fails.  The
+spectral subcommands print no numpy warnings: a failure is one error line.
 
 A bad option value is a usage error and exits 1, whether argparse or the
 library finds it: among others an ``-n`` above ``--max-atoms``, a
@@ -19,6 +20,7 @@ no numpy, and ``fuse``, ``fuse-demo`` and ``belief`` load numpy alone, through
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -91,6 +93,24 @@ def _load(path):
         raise CliError(str(exc), EXIT_PARSE) from None
 
 
+def _spectral(command):
+    """Run a spectral subcommand with numpy's floating-point warnings off.
+
+    Every non-finite intermediate value reaches a finiteness or
+    normalization check, which ends the run with one error line; a warning
+    printed before that line would only repeat it.
+    """
+
+    @functools.wraps(command)
+    def run(args) -> int:
+        import numpy as np
+
+        with np.errstate(all="ignore"):
+            return command(args)
+
+    return run
+
+
 def cmd_hyperpower(args) -> int:
     universe = _usage(prebool.enumerate_hyperpower, args.n, max_atoms=args.max_atoms)
     if args.constraints:
@@ -119,6 +139,7 @@ def cmd_ordered(args) -> int:
     return 0 if report.ok else EXIT_NUMERIC
 
 
+@_spectral
 def cmd_fuse_demo(args) -> int:
     from . import chebfusion as cf
 
@@ -159,6 +180,7 @@ def cmd_fuse_demo(args) -> int:
     return 0
 
 
+@_spectral
 def cmd_fuse(args) -> int:
     from . import chebfusion as cf
 
@@ -171,6 +193,7 @@ def cmd_fuse(args) -> int:
     return 0
 
 
+@_spectral
 def cmd_belief(args) -> int:
     from . import chebfusion as cf
 

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -385,3 +386,46 @@ def test_fuse_command_names_the_bad_file(tmp_path, capsys):
     assert out == ""
     assert err == f"error: {bad}: could not convert string to float: 'abc'\n"
     assert not out_path.exists()
+
+
+# Integrates to nan through overflow: w @ c overflows to +-inf, and inf - inf
+# is nan.  A NaN integral must fail the normalization check, which let it
+# through as a belief of -7.25333333333e+307 with exit 0.
+NAN_INTEGRAL_CHEB = (
+    "cheb2d 4\n"
+    "0.0 8.5e+307 1.0 0.0 0.0\n"
+    "0.0 8.5e+307 0.0 -1.7e+308 0.0\n"
+    "1.0 0.0 -1.7e+308 0.0 1e+308\n"
+    "0.0 1e+307 1e+308 0.0 0.0\n"
+    "0.0 -1.7e+308 -1e+308 8.5e+307 1.7e+308\n"
+)
+UNIFORM_CHEB = "cheb2d 2\n0.25 0 0\n0 0 0\n0 0 0\n"
+NOT_NORMALIZED_NAN = "error: density is not normalized (integral nan)\n"
+
+
+@pytest.mark.parametrize("files, argv, line", [
+    ({}, ["fuse-demo", "--gauss1", "0,1e300", "--out", "{tmp}/demo"],
+     "error: cannot normalize: total mass 0.0 <= 0\n"),
+    ({"big": "cheb2d 1\n1e308 1e308\n1e308 1e308\n"},
+     ["fuse", "{tmp}/big", "{tmp}/big", "--out", "{tmp}/f.cheb"], NOT_NORMALIZED_NAN),
+    ({"big": "cheb2d 1\n1e308 1e308\n1e308 1e308\n"},
+     ["belief", "{tmp}/big", "--", "-1", "1"], NOT_NORMALIZED_NAN),
+    ({"off": "cheb2d 1\n0.25 1e300\n1e300 0\n"},
+     ["fuse", "{tmp}/off", "{tmp}/off", "--out", "{tmp}/f.cheb"],
+     "error: coefficients must be finite\n"),
+    ({"nan": NAN_INTEGRAL_CHEB}, ["belief", "{tmp}/nan", "--", "-1", "1"], NOT_NORMALIZED_NAN),
+    ({"nan": NAN_INTEGRAL_CHEB, "uniform": UNIFORM_CHEB},
+     ["fuse", "{tmp}/uniform", "{tmp}/nan", "--out", "{tmp}/f.cheb"], NOT_NORMALIZED_NAN),
+], ids=["demo-huge-centre", "fuse-1e308", "belief-1e308", "fuse-1e300-off-diagonal",
+        "belief-nan-integral", "fuse-nan-integral"])
+def test_overflow_ends_in_one_error_line_and_no_warning(tmp_path, capsys, files, argv, line):
+    # Each run overflows, or meets inf - inf, inside numpy on its way to the
+    # check that rejects it; numpy must not warn about it first.
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert [str(w.message) for w in caught] == []
+    assert result == (cli.EXIT_NUMERIC, "", line)
+    assert not (tmp_path / "f.cheb").exists() and not (tmp_path / "demo").exists()

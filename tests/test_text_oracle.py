@@ -1,7 +1,11 @@
-"""The list-based text writers against the per-scalar ones they replaced."""
+"""The list-based text writers and reader against the per-scalar ones they replaced."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from dsmfuse import chebfusion as cf
 
@@ -26,8 +30,79 @@ def test_writers_write_the_old_bytes(tmp_path, index):
         write(d, new)
         old_write(d, old)
         assert new.read_bytes() == old.read_bytes()
-    cf.save_grid(d, new, g=7)
-    text_oracle.save_grid(d, old, g=7)
-    assert new.read_bytes() == old.read_bytes()
+    for g in (2, 3, 7, 65):
+        cf.save_grid(d, new, g=g)
+        text_oracle.save_grid(d, old, g=g)
+        assert new.read_bytes() == old.read_bytes()
     cf.save_coeffs(d, new)
     assert np.array_equal(cf.load_coeffs(new).coeffs, text_oracle.load_coeffs(new).coeffs)
+
+
+# Ways to write a zero, or a token as long as "0.0", that are not the
+# writer's "0.0": "-0." reads as -0.0 in a row as long as the zero row.
+NEAR_ZEROS = ["0", "0.00", "-0.0", "+0.0", "-0.", "0e0", "0.", "1.0"]
+VALUES = st.one_of(
+    st.sampled_from(["0.0", "-0.0", "1e300", "-1e300", "1e-300", "-1e-300", "5e-324",
+                     "-2.5e-310", "2.2250738585072014e-308"]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+
+
+@st.composite
+def cheb_texts(draw):
+    """A .cheb text at degree 0-20 whose rows mix the writer's zero row with near misses."""
+    n = draw(st.integers(0, 20))
+    lines = []
+    for _ in range(draw(st.sampled_from([n + 1, n + 1, n + 1, n, n + 2]))):
+        kind = draw(st.sampled_from(["zero", "zero", "near", "values", "count"]))
+        tokens = ["0.0"] * (n + 1)
+        if kind == "near":
+            tokens[draw(st.integers(0, n))] = draw(st.sampled_from(NEAR_ZEROS))
+        elif kind == "values":
+            tokens = draw(st.lists(VALUES, min_size=n + 1, max_size=n + 1))
+        elif kind == "count":
+            tokens = draw(st.lists(VALUES, min_size=n, max_size=n + 2).filter(
+                lambda t: len(t) != n + 1))
+        sep = " " if kind == "zero" else draw(st.sampled_from([" ", " ", "  "]))
+        trail = "" if kind == "zero" else draw(st.sampled_from(["", "", " "]))
+        end = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+        lines.append(sep.join(tokens) + trail + end)
+    text = f"cheb2d {n}\n" + "".join(lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\n")
+    return text
+
+
+def read(reader, path):
+    try:
+        d = reader(path)
+    except ValueError as exc:
+        return str(exc)
+    return d.degree, d.coeffs.tobytes()
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=cheb_texts())
+@example(text="cheb2d 2\n0.0 0.0 0.0\n-0. 0.0 0.0\n0.0 0.0 0.0")
+@example(text="cheb2d 1\n0.25 0.0\r\n0.0  0.0\n")
+def test_reader_reads_the_old_values(tmp_path, text):
+    # Values are compared as bytes, so a -0.0 read as +0.0 fails.
+    path = tmp_path / "rows.cheb"
+    path.write_bytes(text.encode())
+    assert read(cf.load_coeffs, path) == read(text_oracle.load_coeffs, path)
+
+
+def test_a_huge_header_fails_at_a_short_row_in_little_memory(tmp_path):
+    # A zero row of 10^7 coefficients is 40 MB of text and 80 MB of list;
+    # neither may be built before a row of that length is read.
+    path = tmp_path / "huge.cheb"
+    path.write_text("cheb2d 10000000\n1 2 3\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as info:
+            cf.load_coeffs(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == f"{path}: row 1 holds 3 coefficients, expected 10000001"
+    assert peak < 4 * 2**20
