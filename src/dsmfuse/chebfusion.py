@@ -58,14 +58,6 @@ class GeneralizedInterval:
         if not (-1 <= self.lo <= 1 and -1 <= self.hi <= 1):
             raise ValueError("interval endpoints must lie in [-1, 1]")
 
-    @property
-    def width(self) -> float:
-        return (self.hi - self.lo) / 2
-
-    @property
-    def center(self) -> float:
-        return (self.lo + self.hi) / 2
-
 
 def interval_meet(a: GeneralizedInterval, b: GeneralizedInterval) -> GeneralizedInterval:
     """Conjunction of interval evidence: tightest common description.
@@ -246,7 +238,9 @@ def integral_full(d: ChebDensity) -> float:
 def normalize(d: ChebDensity) -> ChebDensity:
     """Scale so the total integral is 1."""
     total = integral_full(d)
-    if not total > 0:  # a NaN total fails too
+    if not np.isfinite(total):
+        raise ValueError(f"cannot normalize: total mass {total} is not finite")
+    if total <= 0:
         raise ValueError(f"cannot normalize: total mass {total} <= 0")
     return ChebDensity._from_block(d._block / total, d.degree)
 

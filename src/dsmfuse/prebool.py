@@ -219,7 +219,11 @@ def is_insulated(gamma: ConstraintSet) -> bool:
     """True iff no constraint mentions BOTTOM or TOP.
 
     Insulated constraint sets never collapse a non-trivial conjunction to
-    BOTTOM (nor a disjunction to TOP) in the quotient.
+    BOTTOM (nor a disjunction to TOP) in the quotient.  That is the
+    precondition of :func:`belief.fuse`, which does not renormalize: on a
+    quotient that is not insulated, a product mass can land on BOTTOM and
+    fusion raises.  ``belief`` does not check it, since it reads only class
+    keys; this is the test a caller applies to its constraints first.
     """
     return not any(
         p.is_bottom or p.is_top or q.is_bottom or q.is_top for p, q in gamma.pairs

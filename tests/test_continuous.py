@@ -55,10 +55,10 @@ def m2():
 
 def test_interval_properties():
     iv = cf.GeneralizedInterval(-0.5, 0.5)
-    assert iv.width == 0.5
-    assert iv.center == 0.0
+    assert (iv.lo, iv.hi) == (-0.5, 0.5)
+    # hi < lo describes a contradiction and is kept as given
     contradiction = cf.GeneralizedInterval(0.5, -0.5)
-    assert contradiction.width == -0.5
+    assert (contradiction.lo, contradiction.hi) == (0.5, -0.5)
     with pytest.raises(ValueError, match=re.escape("interval endpoints must lie in [-1, 1]")):
         cf.GeneralizedInterval(-1.5, 0)
 
@@ -72,7 +72,6 @@ def test_interval_meet():
         cf.GeneralizedInterval(-1, 0), cf.GeneralizedInterval(0, 1)
     )
     assert zero == cf.GeneralizedInterval(0.0, 0.0)
-    assert zero.width == 0.0
 
 
 def test_fit_single_basis_function():
@@ -164,6 +163,20 @@ def test_normalize():
     assert np.abs(cf.normalize(n2).coeffs - n2.coeffs).max() < 1e-15
     with pytest.raises(ValueError, match="cannot normalize: total mass"):
         cf.normalize(cf.ChebDensity(np.zeros((3, 3))))
+
+
+@pytest.mark.parametrize("rows, text", [
+    ([[0.0, 0.0], [0.0, 0.0]], "total mass 0.0 <= 0"),
+    ([[-1.0, 0.0], [0.0, 0.0]], "total mass -4.0 <= 0"),
+    ([[1e308, 1e308], [1e308, 1e308]], "total mass nan is not finite"),
+    ([[1e308, 0.0], [0.0, 0.0]], "total mass inf is not finite"),
+    ([[-1e308, 0.0], [0.0, 0.0]], "total mass -inf is not finite"),
+])
+def test_normalize_names_why_it_cannot(rows, text):
+    # A NaN total is not "<= 0"; an infinite one has no finite scale.
+    with np.errstate(all="ignore"), pytest.raises(ValueError) as raised:
+        cf.normalize(cf.ChebDensity(rows))
+    assert str(raised.value) == f"cannot normalize: {text}"
 
 
 def test_axis_antiderivative_of_t1():

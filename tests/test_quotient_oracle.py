@@ -74,18 +74,23 @@ def closed_sublattice(generators):
         universe = grown
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_sublattice_quotient_matches_closure_oracle(seed):
+def sublattice_case(seed):
     # A closed universe smaller than the free algebra: the sublattice of the
     # n=4 algebra generated by a0, a1 and a2 & a3, with both constants.
     n = 4
     a0, a1, a2, a3 = (pb.atom_prop(n, i) for i in range(n))
     universe = closed_sublattice([pb.bottom(n), pb.top(n), a0, a1, pb.meet(a2, a3)])
-    assert len(universe) < 168
     rng = random.Random(f"sublattice:{seed}")
     gamma = pb.ConstraintSet(
         tuple((rng.choice(universe), rng.choice(universe)) for _ in range(rng.randint(1, 2)))
     )
+    return universe, gamma
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sublattice_quotient_matches_closure_oracle(seed):
+    universe, gamma = sublattice_case(seed)
+    assert len(universe) < 168
     assert_matches_oracle(universe, gamma)
 
 
