@@ -27,6 +27,10 @@ costs O(|L|·|F|) subset tests.  Float tables keep the per-class sums, whose
 summation order their results are defined by.  The module reads three
 names from its algebra: ``key`` (a proposition's class key), ``top`` and
 ``rep_by_key`` (class key to representative, in representative order).
+A :class:`Quotient` is the free algebra modulo a congruence.  The sweeps
+also hold on any other algebra with those names whose keys are closed under
+``&`` and ``|``, such as a quotient of a closed sublattice built outside
+this package (see :func:`_lattice`).
 """
 
 from __future__ import annotations
@@ -93,9 +97,10 @@ def _lattice(
     bit x of the top key, ``least[x]``, the ``&`` of the keys that hold x,
     is a join-irreducible J, and every key is the ``|`` of the J it holds.
     The bits G whose ``least`` is J are J less the join-irreducibles below
-    it.  On a quotient of the free algebra G is one bit; on a quotient of a
-    smaller closed universe a cover may clear several bits at once, so the
-    pairs step by G, not by bit.  A key K holds J iff it holds G, and
+    it.  On a quotient of the free algebra, the only kind that
+    :class:`Quotient` builds, G is one bit.  An algebra built elsewhere on a
+    smaller closed universe may have covers that clear several bits at once,
+    so the pairs step by G, not by bit.  A key K holds J iff it holds G, and
     removing J from the join-irreducibles below K leaves a down-set, whose
     key is K ^ G, iff K ^ G is a key.  The groups are taken in ascending
     order of J, a linear extension of the order; within one group no K ^ G

@@ -8,14 +8,18 @@ up-set's truth table: a 2^n-bit integer whose bit S is set iff the atom set S
 ``|`` and ``p & ~q == 0``.  BOTTOM is the empty table and TOP the full one.
 The disjunctive form is a derived view: ``clauses``, the inclusion-minimal
 set bits, so for instance ``a | (a & b)`` reads back as ``a``.
+
+A :class:`Quotient` is the free algebra on n atoms modulo the least
+congruence holding a set of equations.  A congruence clears one mask of
+table bits, so each class is an integer key ``T & ~M`` and the quotient's
+meet, join and order are again ``&``, ``|`` and ``k1 & ~k2 == 0``.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
-from operator import and_
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 
@@ -231,7 +235,7 @@ def is_insulated(gamma: ConstraintSet) -> bool:
 
 
 class Quotient:
-    """A finite pre-Boolean algebra: a closed universe modulo a congruence.
+    """A finite pre-Boolean algebra: the free algebra modulo a congruence.
 
     The congruence is the least equivalence containing the constraint pairs
     and compatible with meet and join.  Congruences of a finite distributive
@@ -241,24 +245,15 @@ class Quotient:
     An element's class is its key ``T(p) & ~M`` (:meth:`key`), and the keys
     form a lattice of their own: meet, join and order are ``&``, ``|`` and
     ``k1 & ~k2 == 0``.  A proper subset is a smaller integer, so ascending
-    key order is a linear extension of the order.  A closed universe smaller
-    than the free algebra is a sublattice of it, and distributive lattices
-    have the congruence extension property, so the mask still gives its least
-    congruence.  Class representatives are the minimum members under
-    :func:`prop_key`, so output is reproducible; ``rep_by_key`` maps each
-    class key to its representative.
+    key order is a linear extension of the order.  Class representatives are
+    the minimum members under :func:`prop_key`, so output is reproducible;
+    ``rep_by_key`` maps each class key to its representative.
 
-    The universe must hold BOTTOM and TOP and be closed under meet and join.
-    With ``least[x]`` the meet of the members whose table holds atom set x
-    (TOP's table if none does), that holds exactly when the :func:`unions`
-    of ``least`` are the members' tables: a closed family is the unions of
-    its least members, and such unions are closed.  Those unions, built
-    from BOTTOM one generator at a time, stay among the members exactly when
-    BOTTOM, every ``least[x]`` and every ``t | least[x]`` are members, so
-    that is what is checked: O(|U|·2^n) work even for a universe far from
-    closed, whose closure can hold nearly all D(n) up-sets.  A rejection
-    names the smallest table of the closure missing from the universe; its
-    last union step puts it among the tables checked.
+    The universe must hold every proposition over one n exactly once, in any
+    order.  Every up-set is BOTTOM or ``t | up[c]`` for a smaller up-set t
+    and an atom set c, so a family of up-sets is all of them exactly when it
+    holds BOTTOM and every ``t | up[c]`` of its members: O(|U|·2^n) work,
+    and a rejection names the smallest up-set the universe lacks.
     """
 
     def __init__(self, universe: Sequence[Proposition], gamma: ConstraintSet) -> None:
@@ -268,48 +263,37 @@ class Quotient:
         n = self.universe[0].n
         if any(p.n != n for p in self.universe):
             raise ValueError("universe mixes atom universes")
-        # key() rejects foreign elements, whose tables may well collide with
-        # members' keys.
-        self._members = frozenset(self.universe)
-        if len(self._members) != len(self.universe):
+        tables = {p.table for p in self.universe}
+        if len(tables) != len(self.universe):
             raise ValueError("universe contains duplicate propositions")
-        tables = {p.table for p in self._members}
-        full = top(n).table
-        least = {
-            reduce(and_, (t for t in tables if t >> x & 1), full)
-            for x in range(1 << n)
-        }
-        steps = tables | {0}
-        outside = (steps | {t | g for t in steps for g in least}) - tables
+        up = _up_sets(n)
+        outside = ({0} | {t | u for t in tables for u in up}) - tables
         if outside:
             p = Proposition(n, min(outside))
             raise ValueError(
                 f"proposition {format_proposition(p)} is outside the universe"
             )
 
+        self._n = n
         self._keep = ~congruence_mask(gamma)
-        # key() rejects constraint elements from outside the universe.
+        # key() rejects constraint elements over another atom count.
         for pair in gamma.pairs:
             for p in pair:
                 self.key(p)
 
-        members: dict[int, list[Proposition]] = {}
-        for p in self.universe:
-            members.setdefault(self.key(p), []).append(p)
-        # Member lists follow prop_key order, so the first member of each
+        # The universe follows prop_key order, so the first member of each
         # class is its representative, and classes are inserted in
         # representative order.
-        self.rep_by_key = {key: group[0] for key, group in members.items()}
-        self.classes: dict[Proposition, frozenset[Proposition]] = {
-            group[0]: frozenset(group) for group in members.values()
-        }
-        self.representatives = list(self.classes)
+        self.rep_by_key: dict[int, Proposition] = {}
+        for p in self.universe:
+            self.rep_by_key.setdefault(p.table & self._keep, p)
+        self.representatives = list(self.rep_by_key.values())
         self.bottom = self.class_of(bottom(n))
         self.top = self.class_of(top(n))
 
     def key(self, p: Proposition) -> int:
         """The class key ``T(p) & ~M``: equal exactly on congruent members."""
-        if p not in self._members:
+        if p.n != self._n:
             raise ValueError(
                 f"proposition {format_proposition(p)} is outside the universe"
             )
@@ -319,18 +303,10 @@ class Quotient:
         """Representative of p's congruence class."""
         return self.rep_by_key[self.key(p)]
 
-    def meet(self, p: Proposition, q: Proposition) -> Proposition:
-        return self.rep_by_key[self.key(p) & self.key(q)]
-
-    def join(self, p: Proposition, q: Proposition) -> Proposition:
-        return self.rep_by_key[self.key(p) | self.key(q)]
-
-    def leq(self, p: Proposition, q: Proposition) -> bool:
-        return not self.key(p) & ~self.key(q)
-
 
 def quotient(universe: Sequence[Proposition], gamma: ConstraintSet) -> Quotient:
-    """Quotient a closed universe by the congruence generated by gamma."""
+    """Quotient the free algebra, listed as ``universe``, by the congruence
+    generated by gamma."""
     return Quotient(universe, gamma)
 
 

@@ -7,13 +7,16 @@ then sweeps the |U| x |U| meet and join tables, merging the images of every
 column within one class, until nothing changes.  It knows nothing of Birkhoff
 duality, so the tests hold the mask construction against it.
 
-:class:`ClosureQuotient` mirrors the public surface of ``Quotient``:
-``universe``, ``classes``, ``representatives``, ``bottom``, ``top``,
-``class_of``, ``meet``, ``join`` and ``leq``.
+:class:`ClosureQuotient` mirrors the surface of the sublattice-universe
+oracle ``universe_quotient_oracle.UniverseQuotient``: ``universe``,
+``classes``, ``representatives``, ``bottom``, ``top``, ``class_of``,
+``meet``, ``join`` and ``leq``.  ``Quotient`` keeps ``universe``,
+``representatives``, ``bottom``, ``top`` and ``class_of`` of these, and the
+tests read its classes and products through ``key`` and ``rep_by_key``.
 
-:func:`is_closed` is how ``Quotient`` checked its universe before it moved
-to the union closure of least members: every pair's meet and join must be a
-member, and so must BOTTOM and TOP.
+:func:`is_closed` is how ``Quotient`` checked its universe before the union
+closure of least members that ``UniverseQuotient`` keeps: every pair's meet
+and join must be a member, and so must BOTTOM and TOP.
 """
 
 from functools import lru_cache

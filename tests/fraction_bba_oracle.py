@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from dsmfuse.belief import MASS_TOL, BbaError, InconsistentBelief
-from dsmfuse.prebool import Proposition, Quotient, format_proposition
+from dsmfuse.prebool import Proposition, Quotient, format_proposition, meet
 
 
 @dataclass(frozen=True)
@@ -101,6 +101,6 @@ def fuse(m1: FiniteBba, m2: FiniteBba) -> FiniteBba:
     out: dict[Proposition, object] = {}
     for p1, v1 in m1.mass.items():
         for p2, v2 in m2.mass.items():
-            target = alg.meet(p1, p2)
+            target = alg.class_of(meet(p1, p2))
             out[target] = out.get(target, 0) + v1 * v2
     return FiniteBba(alg, out, exhaustive=m1.exhaustive and m2.exhaustive)

@@ -17,6 +17,7 @@ from dsmfuse import cli, ordered
 from dsmfuse import prebool as pb
 
 import demo_closed_form as dcf
+from universe_quotient_oracle import classes
 
 MM1 = cf.gaussian(-1.0, 0.0)
 MM2 = cf.gaussian(0.0, 1.0)
@@ -90,7 +91,7 @@ def test_criterion_2_three_atom_quotient():
     }
     ok = (
         len(q.representatives) == 10
-        and set(q.classes.values()) == expected_classes
+        and set(classes(q).values()) == expected_classes
         and len(merged) == 8
     )
     report("2 three-atom order quotient has the 10 expected classes", ok)

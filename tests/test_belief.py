@@ -11,6 +11,7 @@ from dsmfuse import belief as bf
 from dsmfuse import prebool as pb
 
 import fraction_bba_oracle as oracle
+from universe_quotient_oracle import classes
 
 
 @pytest.fixture(scope="module")
@@ -105,7 +106,7 @@ def test_bel_monotone(example3_algebra):
     reps = example3_algebra.representatives
     for p in reps:
         for q in reps:
-            if example3_algebra.leq(p, q):
+            if not example3_algebra.key(p) & ~example3_algebra.key(q):
                 assert bf.bel(m, p) <= bf.bel(m, q)
 
 
@@ -175,7 +176,7 @@ def test_fuse_matches_double_loop_oracle(example3_algebra):
         for p2 in example3_algebra.representatives:
             v = m1[p1] * m2[p2]
             if v:
-                t = example3_algebra.meet(p1, p2)
+                t = example3_algebra.class_of(pb.meet(p1, p2))
                 expected[t] = expected.get(t, 0) + v
     assert fused.mass == expected
 
@@ -268,7 +269,7 @@ def test_fraction_masses_stay_fractions(example3_algebra, data):
 def test_inversion_equals_bba_over_another_denominator(example3_algebra):
     # Two congruent propositions keep the input denominator at 6, while the
     # belief table, whose class masses are 1/2 each, is over 2.
-    p, q = next(sorted(c, key=pb.prop_key) for c in example3_algebra.classes.values() if len(c) > 1)
+    p, q = next(sorted(c, key=pb.prop_key) for c in classes(example3_algebra).values() if len(c) > 1)
     r = next(x for x in example3_algebra.representatives
              if x not in (example3_algebra.bottom, example3_algebra.top, example3_algebra.class_of(p)))
     m = bf.FiniteBba(example3_algebra, {p: Fraction(1, 3), q: Fraction(1, 6), r: Fraction(1, 2)})

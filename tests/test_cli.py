@@ -10,6 +10,7 @@ from dsmfuse import ordered as od
 from dsmfuse import prebool as pb
 
 import demo_closed_form as dcf
+from test_quotient_oracle import CASES
 
 EXAMPLE3_CONSTRAINTS = "a0 & a1 = a0 & a2\na0 & a2 = a1 & a2\n"
 
@@ -41,6 +42,32 @@ def test_hyperpower_with_constraints(tmp_path, capsys):
     code, out, _ = run(capsys, "hyperpower", "-n", "3", "-c", str(path))
     assert code == 0
     assert out.strip().splitlines()[-1] == "count: 10"
+
+
+HYPERPOWER_CASES = {
+    **{name: (n, gamma, ()) for name, (n, gamma) in CASES.items()},
+    "order-n5": (5, od.order_constraints(5), ("--max-atoms", "5")),
+}
+
+
+@pytest.mark.parametrize("n, gamma, guard", HYPERPOWER_CASES.values(), ids=HYPERPOWER_CASES.keys())
+def test_hyperpower_lists_class_representatives(tmp_path, capsys, n, gamma, guard):
+    # The listing is the first member, in prop_key order, of each group of
+    # free elements whose tables agree outside the constraints' mask.
+    path = tmp_path / "gamma.txt"
+    path.write_text("".join(
+        f"{pb.format_proposition(p)} = {pb.format_proposition(q)}\n" for p, q in gamma.pairs
+    ))
+    mask = 0
+    for p, q in gamma.pairs:
+        mask |= p.table ^ q.table
+    reps = {}
+    for p in pb.enumerate_hyperpower(n, max_atoms=5):
+        reps.setdefault(p.table & ~mask, p)
+    expected = "".join(f"{pb.format_proposition(p)}\n" for p in reps.values())
+    code, out, err = run(capsys, "hyperpower", "-n", str(n), *guard, "-c", str(path))
+    assert (code, err) == (0, "")
+    assert out == expected + f"count: {len(reps)}\n"
 
 
 def test_hyperpower_parse_error_exit_code(tmp_path, capsys):

@@ -3,9 +3,9 @@ and Möbius sweeps over the class lattice, against the per-value oracle.
 
 Exact ``bel_table`` and ``bba_from_bel`` must equal ``fraction_bba_oracle``
 in values, types and key order on every closure-oracle Γ, on the seeded
-quotients of a closed sublattice universe (where one cover of the class
-lattice can clear several key bits at once), and on the order quotient at
-n = 5.  Perturbed tables check the drop rule: a recovered mass in
+quotients of a closed sublattice universe that the ``UniverseQuotient``
+oracle builds (where one cover of the class lattice can clear several key
+bits at once), and on the order quotient at n = 5.  Perturbed tables check the drop rule: a recovered mass in
 [-MASS_TOL, 0) is dropped and no later class subtracts it, and one below
 -MASS_TOL is rejected with the oracle's proposition and value.
 """
@@ -24,6 +24,7 @@ from dsmfuse import prebool as pb
 import fraction_bba_oracle as oracle
 from mobius_oracle import invert
 from test_quotient_oracle import CASES, sublattice_case
+from universe_quotient_oracle import UniverseQuotient
 
 BUILDERS = {
     **{
@@ -31,10 +32,10 @@ BUILDERS = {
         for name, (n, gamma) in CASES.items()
     },
     **{
-        f"sublattice-s{seed}": (lambda seed=seed: pb.quotient(*sublattice_case(seed)))
+        f"sublattice-s{seed}": (lambda seed=seed: UniverseQuotient(*sublattice_case(seed)))
         for seed in range(4)
     },
-    "sublattice-free": lambda: pb.quotient(sublattice_case(0)[0], pb.ConstraintSet(())),
+    "sublattice-free": lambda: UniverseQuotient(sublattice_case(0)[0], pb.ConstraintSet(())),
     "free-n4": lambda: pb.free_algebra(4),
     "order-n5": lambda: pb.quotient(pb.enumerate_hyperpower(5, 5), od.order_constraints(5)),
 }

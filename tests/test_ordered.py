@@ -233,7 +233,7 @@ def test_intervals_are_the_order_quotient(n):
     P = {c: od.interval(n, *c) for c in cells}
     assert len({q.class_of(p) for p in P.values()}) == n * n
     for (l1, h1), (l2, h2) in product(cells, repeat=2):
-        meet = q.meet(P[l1, h1], P[l2, h2])
+        meet = q.rep_by_key[q.key(P[l1, h1]) & q.key(P[l2, h2])]
         assert meet == q.class_of(P[max(l1, l2), min(h1, h2)])
 
     rng = random.Random(n)

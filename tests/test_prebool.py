@@ -9,6 +9,11 @@ from dsmfuse import ordered as od
 from dsmfuse import prebool as pb
 
 from test_quotient_oracle import CASES
+from universe_quotient_oracle import UniverseQuotient, classes
+
+# The quotient and the sublattice-universe oracle reject the same inputs with
+# the same texts.
+QUOTIENTS = (pb.quotient, UniverseQuotient)
 
 
 def props(n, max_clauses=4):
@@ -175,21 +180,22 @@ def test_example3_partition(example3):
         pb.join(pb.join(pb.meet(a, b), pb.meet(b, c)), pb.meet(c, a)),
     }
     assert len(merged) == 8
-    assert q.classes[q.class_of(pb.meet(a, b))] == frozenset(merged)
+    partition = classes(q)
+    assert partition[q.class_of(pb.meet(a, b))] == frozenset(merged)
     # the remaining classes from the worked example
-    assert q.classes[q.class_of(a)] == frozenset({a, pb.join(pb.meet(b, c), a)})
-    assert q.classes[q.class_of(b)] == frozenset({b, pb.join(pb.meet(c, a), b)})
-    assert q.classes[q.class_of(c)] == frozenset({c, pb.join(pb.meet(a, b), c)})
+    assert partition[q.class_of(a)] == frozenset({a, pb.join(pb.meet(b, c), a)})
+    assert partition[q.class_of(b)] == frozenset({b, pb.join(pb.meet(c, a), b)})
+    assert partition[q.class_of(c)] == frozenset({c, pb.join(pb.meet(a, b), c)})
     for singleton in (
         pb.bottom(3), pb.top(3), pb.join(a, b), pb.join(b, c), pb.join(c, a),
         pb.join(pb.join(a, b), c),
     ):
-        assert q.classes[q.class_of(singleton)] == frozenset({singleton})
+        assert partition[q.class_of(singleton)] == frozenset({singleton})
 
 
 def test_empty_constraints_identity_partition():
     q = pb.free_algebra(2)
-    assert all(len(members) == 1 for members in q.classes.values())
+    assert all(len(members) == 1 for members in classes(q).values())
 
 
 def test_quotient_congruence_soundness(example3):
@@ -197,40 +203,40 @@ def test_quotient_congruence_soundness(example3):
     universe = q.universe
     for p in universe:
         for r in universe:
-            assert q.class_of(pb.meet(p, r)) == q.meet(q.class_of(p), q.class_of(r))
-            assert q.class_of(pb.join(p, r)) == q.join(q.class_of(p), q.class_of(r))
+            kp, kr = q.key(q.class_of(p)), q.key(q.class_of(r))
+            assert q.class_of(pb.meet(p, r)) == q.rep_by_key[kp & kr]
+            assert q.class_of(pb.join(p, r)) == q.rep_by_key[kp | kr]
 
 
 def test_quotient_rejects_foreign_proposition():
-    q = pb.free_algebra(2)
-    alien, home = pb.atom_prop(3, 0), pb.atom_prop(2, 0)
-    with pytest.raises(ValueError):
-        q.class_of(alien)
-    for op in (q.meet, q.join, q.leq):
-        for p, r in ((alien, home), (home, alien)):
-            with pytest.raises(ValueError, match="outside the universe"):
-                op(p, r)
+    alien = pb.atom_prop(3, 0)
     foreign = pb.ConstraintSet(((pb.atom_prop(3, 0), pb.atom_prop(3, 1)),))
-    with pytest.raises(ValueError):
-        pb.quotient(pb.enumerate_hyperpower(2), foreign)
     no_top = [p for p in pb.enumerate_hyperpower(2) if not p.is_top]
-    with pytest.raises(ValueError, match="top"):
-        pb.quotient(no_top, pb.ConstraintSet(()))
+    for build in QUOTIENTS:
+        q = build(pb.enumerate_hyperpower(2), pb.ConstraintSet(()))
+        for op in (q.key, q.class_of):
+            with pytest.raises(ValueError, match="a0 is outside the universe"):
+                op(alien)
+        with pytest.raises(ValueError, match="a0 is outside the universe"):
+            build(pb.enumerate_hyperpower(2), foreign)
+        with pytest.raises(ValueError, match="top"):
+            build(no_top, pb.ConstraintSet(()))
 
 
 def test_quotient_rejects_malformed_universe():
     universe = pb.enumerate_hyperpower(2)
     a, b = pb.atom_prop(2, 0), pb.atom_prop(2, 1)
-    with pytest.raises(ValueError, match="universe contains duplicate propositions"):
-        pb.quotient(universe + [a], pb.ConstraintSet(()))
     # dropping a & b leaves the meet of a and b outside
     open_universe = [p for p in universe if p != pb.meet(a, b)]
-    with pytest.raises(ValueError, match="a0 & a1"):
-        pb.quotient(open_universe, pb.ConstraintSet(()))
-    with pytest.raises(ValueError, match="universe mixes atom universes"):
-        pb.quotient(universe + [pb.atom_prop(3, 0)], pb.ConstraintSet(()))
-    with pytest.raises(ValueError, match="universe is empty"):
-        pb.quotient([], pb.ConstraintSet(()))
+    for build in QUOTIENTS:
+        with pytest.raises(ValueError, match="universe contains duplicate propositions"):
+            build(universe + [a], pb.ConstraintSet(()))
+        with pytest.raises(ValueError, match="a0 & a1"):
+            build(open_universe, pb.ConstraintSet(()))
+        with pytest.raises(ValueError, match="universe mixes atom universes"):
+            build(universe + [pb.atom_prop(3, 0)], pb.ConstraintSet(()))
+        with pytest.raises(ValueError, match="universe is empty"):
+            build([], pb.ConstraintSet(()))
 
 
 def test_quotient_rejects_sparse_universe_without_closing_it():
@@ -238,8 +244,9 @@ def test_quotient_rejects_sparse_universe_without_closing_it():
     # 7.8M up-sets; the check must reject them without building it.
     n = 6
     universe = [pb.bottom(n), pb.top(n)] + [pb.atom_prop(n, i) for i in range(n)]
-    with pytest.raises(ValueError, match="a0 & a1 & a2 & a3 & a4 & a5 is outside"):
-        pb.quotient(universe, pb.ConstraintSet(()))
+    for build in QUOTIENTS:
+        with pytest.raises(ValueError, match="a0 & a1 & a2 & a3 & a4 & a5 is outside"):
+            build(universe, pb.ConstraintSet(()))
 
 
 def test_is_insulated(example3):
@@ -252,13 +259,14 @@ def test_is_insulated(example3):
 
 def test_insulated_quotient_keeps_trivial_classes_singleton(example3):
     q, _ = example3
-    assert q.classes[q.bottom] == frozenset({pb.bottom(3)})
-    assert q.classes[q.top] == frozenset({pb.top(3)})
+    partition = classes(q)
+    assert partition[q.bottom] == frozenset({pb.bottom(3)})
+    assert partition[q.top] == frozenset({pb.top(3)})
     # and no non-trivial meet collapses to BOTTOM
     for p in q.representatives:
         for r in q.representatives:
             if p != q.bottom and r != q.bottom:
-                assert q.meet(p, r) != q.bottom
+                assert q.rep_by_key[q.key(p) & q.key(r)] != q.bottom
 
 
 def test_parse_format_roundtrip():
@@ -293,7 +301,7 @@ def test_key_is_a_linear_extension(constrained):
     q = pb.quotient(universe, gamma)
     for p in q.representatives:
         for r in q.representatives:
-            if p != r and q.leq(p, r):
+            if p != r and not q.key(p) & ~q.key(r):
                 assert q.key(p) < q.key(r)
     with pytest.raises(ValueError, match="outside the universe"):
         q.key(pb.atom_prop(3, 0))
@@ -312,13 +320,13 @@ def test_upsets_are_the_class_keys(n, gamma):
 
 def test_free_algebra_at_n5():
     q = pb.free_algebra(5, max_atoms=5)
-    assert len(q.universe) == len(q.classes) == 7581
+    assert len(q.universe) == len(q.representatives) == 7581
 
 
 def test_order_quotient_at_n5():
     gamma = od.order_constraints(5)
     q = pb.quotient(pb.enumerate_hyperpower(5, max_atoms=5), gamma)
-    assert len(q.classes) == 133
+    assert len(q.representatives) == 133
     keep = pb.top(5).table & ~pb.congruence_mask(gamma)
     assert sorted(q.key(r) for r in q.representatives) == pb.upsets(5, keep)
 

@@ -1,4 +1,5 @@
-"""Differential test: the truth-table Quotient against the union-find closure."""
+"""Differential tests: the truth-table Quotient against the union-find
+closure and against the sublattice-universe oracle it replaced."""
 
 import random
 
@@ -8,6 +9,7 @@ from dsmfuse import ordered as od
 from dsmfuse import prebool as pb
 
 from congruence_oracle import ClosureQuotient, is_closed
+from universe_quotient_oracle import UniverseQuotient, classes
 
 
 def readme_pair(n):
@@ -42,25 +44,28 @@ CASES = {
 }
 
 
-def assert_matches_oracle(universe, gamma):
-    q = pb.quotient(universe, gamma)
+def assert_matches_oracle(q, universe, gamma):
+    # Products are read through keys: meet, join and order of two classes
+    # are &, | and inclusion of their keys.
     oracle = ClosureQuotient(universe, gamma)
 
     assert q.universe == oracle.universe
     assert q.representatives == oracle.representatives
-    assert list(q.classes.items()) == list(oracle.classes.items())
+    assert list(classes(q).items()) == list(oracle.classes.items())
     assert (q.bottom, q.top) == (oracle.bottom, oracle.top)
     for p in universe:
         assert q.class_of(p) == oracle.class_of(p)
         for r in universe:
-            assert q.meet(p, r) == oracle.meet(p, r)
-            assert q.join(p, r) == oracle.join(p, r)
-            assert q.leq(p, r) == oracle.leq(p, r)
+            kp, kr = q.key(p), q.key(r)
+            assert q.rep_by_key[kp & kr] == oracle.meet(p, r)
+            assert q.rep_by_key[kp | kr] == oracle.join(p, r)
+            assert (not kp & ~kr) == oracle.leq(p, r)
 
 
 @pytest.mark.parametrize("n, gamma", CASES.values(), ids=CASES.keys())
 def test_quotient_matches_closure_oracle(n, gamma):
-    assert_matches_oracle(pb.enumerate_hyperpower(n), gamma)
+    universe = pb.enumerate_hyperpower(n)
+    assert_matches_oracle(pb.quotient(universe, gamma), universe, gamma)
 
 
 def closed_sublattice(generators):
@@ -91,7 +96,14 @@ def sublattice_case(seed):
 def test_sublattice_quotient_matches_closure_oracle(seed):
     universe, gamma = sublattice_case(seed)
     assert len(universe) < 168
-    assert_matches_oracle(universe, gamma)
+    q = UniverseQuotient(universe, gamma)
+    assert_matches_oracle(q, universe, gamma)
+    assert list(q.classes.items()) == list(classes(q).items())
+    for p in universe:
+        for r in universe:
+            assert q.meet(p, r) == q.rep_by_key[q.key(p) & q.key(r)]
+            assert q.join(p, r) == q.rep_by_key[q.key(p) | q.key(r)]
+            assert q.leq(p, r) == (not q.key(p) & ~q.key(r))
 
 
 def random_universe(n, kind, rng):
@@ -122,11 +134,11 @@ def test_closure_check_matches_pairwise_rule(n, kind):
     for _ in range(12):
         universe = random_universe(n, kind, rng)
         if is_closed(universe):
-            q = pb.quotient(universe, empty)
+            q = UniverseQuotient(universe, empty)
             assert len(q.classes) == len(ClosureQuotient(universe, empty).classes)
             continue
         with pytest.raises(ValueError) as err:
-            pb.quotient(universe, empty)
+            UniverseQuotient(universe, empty)
         if universe:
             # The rejection names the smallest table of the generated
             # sublattice that the universe lacks.
@@ -135,3 +147,62 @@ def test_closure_check_matches_pairwise_rule(n, kind):
             assert str(err.value) == (
                 f"proposition {pb.format_proposition(missing)} is outside the universe"
             )
+
+
+FREE_N5 = pb.enumerate_hyperpower(5, 5)
+SHUFFLED_N4 = pb.enumerate_hyperpower(4)
+random.Random("shuffled").shuffle(SHUFFLED_N4)
+FREE_UNIVERSES = {
+    **{name: (pb.enumerate_hyperpower(n), gamma) for name, (n, gamma) in CASES.items()},
+    "free-n4": (pb.enumerate_hyperpower(4), pb.ConstraintSet(())),
+    "free-n5": (FREE_N5, pb.ConstraintSet(())),
+    "order-n5": (FREE_N5, od.order_constraints(5)),
+    "shuffled-order-n4": (SHUFFLED_N4, od.order_constraints(4)),
+}
+
+
+@pytest.mark.parametrize("universe, gamma", FREE_UNIVERSES.values(), ids=FREE_UNIVERSES.keys())
+def test_quotient_matches_universe_oracle(universe, gamma):
+    q = pb.quotient(universe, gamma)
+    oracle = UniverseQuotient(universe, gamma)
+    assert q.universe == oracle.universe
+    assert q.representatives == oracle.representatives
+    assert list(q.rep_by_key.items()) == list(oracle.rep_by_key.items())
+    assert (q.bottom, q.top) == (oracle.bottom, oracle.top)
+    for p in universe:
+        assert q.key(p) == oracle.key(p)
+        assert q.class_of(p) == oracle.class_of(p)
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+@pytest.mark.parametrize(
+    "kind", ("subset", "sublattice", "sublattice-minus-one", "free-minus-one")
+)
+def test_universe_check_accepts_exactly_the_free_algebra(n, kind):
+    # The generator check accepts exactly the universes that hold every up-set,
+    # and a rejection names the smallest up-set the universe lacks.
+    rng = random.Random(f"free-check:{n}:{kind}")
+    empty = pb.ConstraintSet(())
+    free = pb.enumerate_hyperpower(n)
+    for _ in range(12):
+        universe = random_universe(n, kind, rng)
+        missing = set(free) - set(universe)
+        if not missing:
+            assert pb.quotient(universe, empty).universe == free
+            continue
+        with pytest.raises(ValueError) as err:
+            pb.quotient(universe, empty)
+        if universe:
+            smallest = min(missing, key=lambda p: p.table)
+            assert str(err.value) == (
+                f"proposition {pb.format_proposition(smallest)} is outside the universe"
+            )
+
+
+def test_free_algebra_minus_any_member_is_rejected():
+    free = pb.enumerate_hyperpower(4)
+    for p in free:
+        with pytest.raises(ValueError) as err:
+            pb.quotient([r for r in free if r != p], pb.ConstraintSet(()))
+        assert str(err.value) == f"proposition {pb.format_proposition(p)} is outside the universe"
+
