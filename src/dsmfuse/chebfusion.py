@@ -16,7 +16,8 @@ Trefethen's standardChop).  :func:`fit` samples once on the full grid,
 transforms its nested coarse Lobatto subgrids, and keeps the first chopped
 series that reproduces every full-grid sample to round-off (Battles &
 Trefethen's adaptive construction, with the check made on the full grid),
-as a density of the requested degree.  Fusion multiplies the leading blocks
+as a density of the requested degree.  The check runs a strip of grid rows
+at a time, so the sample is the one full-grid array a fit holds.  Fusion multiplies the leading blocks
 of its inputs up to the larger of the two chopped degrees, k, pointwise on a
 Lobatto grid.  That grid is the smallest fast one on which the products'
 high modes cannot alias into the min(n, 2k+1) kept ones (Orszag's 3/2 rule;
@@ -168,8 +169,10 @@ def fit(f: Callable[[np.ndarray, np.ndarray], np.ndarray], degree: int) -> ChebD
     subgrid is transformed and chopped (:func:`chop`); the first chopped
     block whose values at all (degree+1)^2 nodes are within
     ``FIT_RESIDUAL`` * eps * max|f| of the samples is returned as a density
-    of degree ``degree``.  Otherwise, and always at degree <= 16, the full
-    sample is transformed and every coefficient kept.  Either way the fitted series
+    of degree ``degree``.  That check runs a few grid rows at a time
+    (:func:`_grid_residual`), so the sample is the one full-grid array fit
+    holds.  Otherwise, and always at degree <= 16, the full sample is
+    transformed and every coefficient kept.  Either way the fitted series
     reproduces f at the grid nodes to round-off.
     """
     if degree < 2 or degree & (degree - 1):
@@ -178,22 +181,45 @@ def fit(f: Callable[[np.ndarray, np.ndarray], np.ndarray], degree: int) -> ChebD
     # f may return a scalar, a row or a column; fit only reads the view
     sample = np.asarray(f(x[:, None], x[None, :]), dtype=float)
     values = np.broadcast_to(sample, (degree + 1,) * 2)
-    if not np.all(np.isfinite(values)):
+    # a NaN reaches both extremes and an inf one of them
+    hi, lo = values.max(), values.min()
+    if not (np.isfinite(hi) and np.isfinite(lo)):
         raise ValueError("sampled values must be finite")
-    tol = FIT_RESIDUAL * _EPS * np.abs(values).max()
+    tol = FIT_RESIDUAL * _EPS * max(hi, -lo)  # max(hi, -lo) is max|f|
     level = 16
     while level < degree:
         step = degree // level
         c = _values_to_coeffs(values[::step, ::step], level)
         k = chop(ChebDensity(c))
-        if k < level:
-            d = ChebDensity._from_block(c[: k + 1, : k + 1], degree)
-            residual = evaluate(d, x[:, None], x[None, :])
-            residual -= values
-            if max(residual.max(), -residual.min()) <= tol:
-                return d
+        if k < level and _grid_residual(c[: k + 1, : k + 1], x, values, tol) <= tol:
+            return ChebDensity._from_block(c[: k + 1, : k + 1], degree)
         level *= 2
     return ChebDensity._from_block(_values_to_coeffs(values, degree), degree)
+
+
+_STRIP_ROWS = 16
+
+
+def _grid_residual(block: np.ndarray, x: np.ndarray, values: np.ndarray, tol: float) -> float:
+    """Largest |series - values| on the x-by-x grid, scanned until it passes tol.
+
+    The series with leading block ``block`` is evaluated as :func:`evaluate`
+    does on an outer-product grid, vander(x) @ block @ vander(x).T, but the
+    second product is formed ``_STRIP_ROWS`` grid rows at a time in one
+    small buffer.  The scan stops after the first strip whose residual
+    exceeds ``tol`` (or is NaN) and returns the largest residual seen.
+    """
+    v = C.chebvander(x, block.shape[0] - 1)
+    vc = v @ block
+    strip = np.empty((_STRIP_ROWS, x.size))
+    worst = 0.0
+    for i in range(0, x.size, _STRIP_ROWS):
+        r = np.matmul(vc[i : i + _STRIP_ROWS], v.T, out=strip[: x.size - i])
+        r -= values[i : i + _STRIP_ROWS]
+        worst = max(r.max(), -r.min(), worst)  # NaN if r holds one
+        if not worst <= tol:
+            break
+    return worst
 
 
 def evaluate(d: ChebDensity, x, y):
@@ -427,8 +453,19 @@ def _alias_free_size(k: int, keep: int) -> int:
 
 
 def gaussian(cx: float, cy: float) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """exp(-(x - cx)^2 - (y - cy)^2), an unnormalized interval density."""
-    return lambda x, y: np.exp(-((x - cx) ** 2) - (y - cy) ** 2)
+    """exp(-(x - cx)^2 - (y - cy)^2), an unnormalized interval density.
+
+    On a grid the exponent array is exponentiated in place, so a sample
+    holds one array of the grid's size.
+    """
+
+    def density(x, y):
+        s = -((x - cx) ** 2) - (y - cy) ** 2
+        if isinstance(s, np.ndarray) and s.dtype == float:
+            return np.exp(s, out=s)
+        return np.exp(s)
+
+    return density
 
 
 # --- text formats ----------------------------------------------------------
@@ -460,7 +497,8 @@ def load_coeffs(path) -> ChebDensity:
     and every such error's text starts with ``f"{path}: "``.  A line whose
     text is exactly the writer's all-zero row becomes zeros without a parse;
     every other line, an all-zero row written any other way included, is
-    split and parsed.
+    split and parsed.  The trailing run of the writer's zero rows never
+    becomes an array.
     """
     try:
         with open(path) as fh:
@@ -483,7 +521,15 @@ def load_coeffs(path) -> ChebDensity:
                     raise ValueError(
                         f"row {k} holds {len(rows[-1])} coefficients, expected {n + 1}"
                     )
-        return ChebDensity(rows)
+        # the trailing writer zero rows hold nothing: the block comes from
+        # the rows above them, squared up with zero rows if it is wider
+        m = len(rows)
+        while m and rows[m - 1] is zero_row:
+            m -= 1
+        head = np.asarray(rows[:m], dtype=float).reshape(m, n + 1)
+        used = np.flatnonzero(((head != 0) | np.signbit(head)).any(axis=0))
+        size = max(m, used[-1] + 1 if used.size else 1)
+        return ChebDensity._from_block(np.pad(head[:, :size], ((0, size - m), (0, 0))), n)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

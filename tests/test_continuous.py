@@ -471,6 +471,35 @@ def test_coeff_file_keeps_a_trailing_negative_zero(tmp_path, row, col):
     assert again.read_bytes() == path.read_bytes()
 
 
+ZERO_ROW = "0.0 0.0 0.0 0.0 0.0"
+
+
+@pytest.mark.parametrize("first, second", [
+    ("0.25 0.0 0.0 0.0 0.5", ZERO_ROW),     # wider than the rows above the zero run
+    ("0.25 0.0 0.0 0.0 -0.0", ZERO_ROW),    # a trailing -0.0 is a value too
+    (ZERO_ROW, "0.0 0.0 1.5 0.0 0.0"),      # a writer zero row above a value
+    (ZERO_ROW, ZERO_ROW),                   # no row above the zero run
+    ("0 0 0 0 0", ZERO_ROW),                # zeros written another way
+    ("0.25 0.0 nan 0.0 0.0", ZERO_ROW),
+    ("0.25 0.0 0.0 0.0 -inf", ZERO_ROW),
+])
+def test_reader_builds_the_density_above_the_trailing_zero_rows(tmp_path, first, second):
+    # Rows 2-4 are the writer's zero rows and are not made an array.
+    path = tmp_path / "a.cheb"
+    path.write_text(f"cheb2d 4\n{first}\n{second}\n" + f"{ZERO_ROW}\n" * 3)
+    rows = [[float(t) for t in line.split()] for line in path.read_text().splitlines()[1:]]
+    try:
+        expected = cf.ChebDensity(rows)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {exc}")):
+            cf.load_coeffs(path)
+        return
+    d = cf.load_coeffs(path)
+    assert d.degree == expected.degree == 4
+    assert d._block.shape == expected._block.shape
+    assert d._block.tobytes() == expected._block.tobytes()
+
+
 def test_constructor_rejects_a_non_square_or_non_finite_matrix():
     for coeffs in ([[1.0, 2.0]], [1.0, 2.0]):
         with pytest.raises(ValueError, match="coefficient matrix must be square"):
