@@ -37,8 +37,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache, reduce
-from operator import and_
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -93,30 +92,30 @@ def _lattice(
     and the zeta sweep's index pairs (K, K ^ G), in sweep order.  Callers
     share the cached result and only read it.
 
-    The keys are a family of sets closed under ``&`` and ``|``.  For each
-    bit x of the top key, ``least[x]``, the ``&`` of the keys that hold x,
-    is a join-irreducible J, and every key is the ``|`` of the J it holds.
-    The bits G whose ``least`` is J are J less the join-irreducibles below
-    it.  On a quotient of the free algebra, the only kind that
-    :class:`Quotient` builds, G is one bit.  An algebra built elsewhere on a
-    smaller closed universe may have covers that clear several bits at once,
-    so the pairs step by G, not by bit.  A key K holds J iff it holds G, and
-    removing J from the join-irreducibles below K leaves a down-set, whose
-    key is K ^ G, iff K ^ G is a key.  The groups are taken in ascending
-    order of J, a linear extension of the order; within one group no K ^ G
-    holds G, so the pairs of a group are independent.
+    The keys are a family of sets closed under ``&`` and ``|``, and each key
+    is the ``|`` of the join-irreducibles J it holds.  The ``&`` of the keys
+    that hold a bit x is a key and a subset of each of them, and a subset is
+    a smaller integer, so the least key that holds x is the first key in
+    ascending order that holds it.  One ascending walk, taking
+    ``G = K & ~seen`` and then ``seen |= K``, thus yields every J = K with a
+    nonempty G, in ascending order of J, a linear extension of the order.
+    On a :class:`Quotient` G is one bit; an algebra on a smaller closed
+    universe may have covers that clear several bits at once, so the pairs
+    step by G, not by bit.  A key K holds J iff it holds G, and removing J
+    from the join-irreducibles below K leaves a down-set, whose key is
+    K ^ G, iff K ^ G is a key.  Within one group no K ^ G holds G, so the
+    pairs of a group are independent.
     """
     ordered = tuple(sorted(keys))
     index = {k: i for i, k in enumerate(ordered)}
-    groups: dict[int, int] = {}
-    for x in range(ordered[-1].bit_length()):
-        holding = [k for k in ordered if k >> x & 1]
-        if holding:
-            least = reduce(and_, holding)
-            groups[least] = groups.get(least, 0) | 1 << x
+    groups, seen = [], 0
+    for K in ordered:
+        if K & ~seen:
+            groups.append(K & ~seen)
+            seen |= K
     pairs = tuple(
         (index[K], index[K ^ g])
-        for _, g in sorted(groups.items())
+        for g in groups
         for K in ordered
         if K & g == g and K ^ g in index
     )

@@ -1,6 +1,7 @@
 """Every name a ``src/dsmfuse`` module imports, and every private name it
 defines at module level, is used in that module; every error text it raises
-is asserted somewhere under ``tests/``."""
+is asserted somewhere under ``tests/``; and every ``tests/*_oracle.py``
+module is imported by some ``tests/test_*.py``."""
 
 import ast
 from pathlib import Path
@@ -79,3 +80,21 @@ def test_every_error_text_is_asserted(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     missing = [f"{line}: {text!r}" for line, text in error_texts(tree) if text not in tests]
     assert not missing, f"{path.name} raises texts that no test names: {missing}"
+
+
+def imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+
+
+def test_every_oracle_is_imported_by_a_test():
+    oracles = {p.stem for p in TESTS.glob("*_oracle.py") if not p.name.startswith("test_")}
+    assert oracles
+    imported = set()
+    for test in TESTS.glob("test_*.py"):
+        imported.update(imported_modules(ast.parse(test.read_text(), filename=str(test))))
+    unwired = sorted(oracles - imported)
+    assert not unwired, f"no test imports the oracles {unwired}"
