@@ -15,7 +15,17 @@ in insertion order.
 
 Both entry points, :class:`FiniteBba` and :func:`bba_from_bel`, take that
 decision in one place, :func:`_numerators`, and every numerator leaves the
-module through :func:`_as_value`.
+module through :func:`_as_value`, apart from an exact belief table's, which
+are built as ``Fraction``s directly.
+
+An exact :func:`bel_table` is a ``dict`` of ``Fraction``s that also carries
+its integer numerators, their denominator and its algebra.  While the table
+is unchanged and goes back to :func:`bba_from_bel` with that very algebra,
+the inversion reads the numerators and skips turning the ``Fraction``s back
+into integers; any other table takes the general path, with the same
+result.  The table stays a mutable ``dict``, not a read-only view that
+builds its ``Fraction``s on access, because callers edit tables in place to
+perturb a belief, and an edit simply makes the table an ordinary one.
 
 Belief and its inversion compare keys: phi lies below psi iff
 ``key(phi) & ~key(psi) == 0``.  On exact numerators, a whole belief table
@@ -38,6 +48,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import is_
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -227,14 +238,48 @@ def bel(m: FiniteBba, phi: Proposition):
     return m._value(_below(m._num, m.algebra.key(phi)))
 
 
+class _BeliefTable(dict):
+    """An exact belief table that also carries its zeta sweep's numerators.
+
+    The mapping is the table itself, an ordinary mutable ``dict``.  Next to
+    it sit the algebra, the integer sums in ascending key order, their
+    denominator, and the keys and values as inserted, which tell whether
+    the mapping still is what :func:`bel_table` built.  A copy, deep copy or
+    pickle is a plain ``dict``.
+    """
+
+    __slots__ = ("_algebra", "_sums", "_den", "_reps", "_values")
+
+    def __reduce__(self):
+        return dict, (dict(self),)
+
+    def _carried(self, algebra) -> tuple[list[int], int] | None:
+        """The sums and their denominator, if this is the unchanged table
+        :func:`bel_table` built over ``algebra`` itself."""
+        if (
+            self._algebra is algebra
+            and len(self) == len(self._reps)
+            and all(map(is_, self, self._reps))
+            and all(map(is_, self.values(), self._values))
+        ):
+            return self._sums, self._den
+        return None
+
+
 def bel_table(m: FiniteBba) -> dict[Proposition, object]:
     """Belief of every representative of the algebra.
 
     Exact numerators run the zeta sweep of :func:`_lattice`: each pair
     (K, K ^ G), group by group in ascending order of the join-irreducible,
     adds the value at K ^ G to the value at K, which leaves at each key the
-    sum over the keys below it.  Float masses are summed per class, as
-    :func:`bel` sums them, so their rounding is that of the per-value sums.
+    sum over the keys below it.  The table then maps each representative to
+    its ``Fraction`` and also carries those integer sums and their
+    denominator, which :func:`bba_from_bel` reads instead of the
+    ``Fraction``s while the table is unchanged.  It stays a mutable
+    ``dict``, since callers edit tables in place to perturb a belief.
+    Float masses are summed per class, as :func:`bel` sums them, so their
+    rounding is that of the per-value sums, and their table is a plain
+    ``dict``.
     """
     num, rep_by_key = m._num, m.algebra.rep_by_key
     if not m._exact:
@@ -245,7 +290,13 @@ def bel_table(m: FiniteBba) -> dict[Proposition, object]:
         sums[index[k]] = v
     for i, j in pairs:
         sums[i] += sums[j]
-    return {rep: m._value(sums[index[k]]) for k, rep in rep_by_key.items()}
+    den = m._den
+    reps = tuple(rep_by_key.values())
+    values = [Fraction(sums[index[k]], den) for k in rep_by_key]
+    table = _BeliefTable(zip(reps, values))
+    table._algebra, table._sums, table._den = m.algebra, sums, den
+    table._reps, table._values = reps, values
+    return table
 
 
 def bba_from_bel(
@@ -262,7 +313,23 @@ def bba_from_bel(
     ``[-MASS_TOL, 0]`` is dropped, so no later class subtracts it.  A float
     table runs that sweep; an exact one, put on one common denominator, runs
     the Möbius sweep of :func:`_mobius`, which gives the same masses.
+
+    A table that :func:`bel_table` built over this very ``algebra`` object,
+    unchanged since, hands its integer sums to :func:`_mobius` directly,
+    divided by their gcd with the denominator.  That puts them on the lcm of
+    the table's reduced denominators, so the result, its numerators and its
+    denominator are those of the general path.  Any other table, an edited
+    one included, takes the general path.
     """
+    carried = bel_values._carried(algebra) if isinstance(bel_values, _BeliefTable) else None
+    if carried is not None:
+        sums, den = carried
+        g = math.gcd(den, *sums)
+        if g > 1:
+            den //= g
+            sums = [s // g for s in sums]
+        mass = _mobius(algebra, sums, den)
+        return FiniteBba._from_keys(algebra, mass.items(), den, True, exhaustive)
     key = algebra.key
     values = {key(p): v for p, v in bel_values.items()}
     missing = [rep for k, rep in algebra.rep_by_key.items() if k not in values]
@@ -272,7 +339,8 @@ def bba_from_bel(
     nums, den, exact = _numerators(list(values.values()))
     values = dict(zip(values, nums))
     if exact:
-        mass = _mobius(algebra, values, den)
+        ordered = _lattice(tuple(algebra.rep_by_key))[0]
+        mass = _mobius(algebra, [values[k] for k in ordered], den)
     else:
         # Masses recovered so far, by key.  Their classes were swept before
         # K, so each one that lies below K lies strictly below it.
@@ -286,20 +354,21 @@ def bba_from_bel(
     return FiniteBba._from_keys(algebra, mass.items(), den, exact, exhaustive)
 
 
-def _mobius(algebra: Quotient, values: dict[int, int], den: int) -> dict[int, int]:
+def _mobius(algebra: Quotient, table: list[int], den: int) -> dict[int, int]:
     """The nonzero masses of an exact belief table, in ascending key order.
 
-    The Möbius sweep runs the pairs of :func:`_lattice` in reverse and
-    subtracts.  Where the peeling sweep drops a dip, a recovered mass in
-    ``[-MASS_TOL, 0)``, later classes subtract no mass at its class; that is
-    the Möbius inverse of the table with the belief there raised by the dip.
-    So the first negative mass in ascending key order, the first class where
-    the two sweeps differ, is either rejected, as the peeling sweep rejects
-    it, or lifted to 0 by raising its belief, and the table inverted again.
-    Each pass lifts a later class, so at most |L| passes run.
+    ``table`` holds the belief numerators over ``den`` in ascending key
+    order; it is read, not changed.  The Möbius sweep runs the pairs of
+    :func:`_lattice` in reverse and subtracts.  Where the peeling sweep
+    drops a dip, a recovered mass in ``[-MASS_TOL, 0)``, later classes
+    subtract no mass at its class; that is the Möbius inverse of the table
+    with the belief there raised by the dip.  So the first negative mass in
+    ascending key order, the first class where the two sweeps differ, is
+    either rejected, as the peeling sweep rejects it, or lifted to 0 by
+    raising its belief, and the table inverted again.  Each pass lifts a
+    later class, so at most |L| passes run.
     """
     ordered, _, pairs = _lattice(tuple(algebra.rep_by_key))
-    table = [values[k] for k in ordered]
     while True:
         mass = table.copy()
         for i, j in reversed(pairs):
@@ -310,6 +379,7 @@ def _mobius(algebra: Quotient, values: dict[int, int], den: int) -> dict[int, in
         value = _as_value(mass[i], den, True)
         if value < -MASS_TOL:
             raise InconsistentBelief(algebra.rep_by_key[ordered[i]], value)
+        table = table.copy()
         table[i] -= mass[i]
 
 

@@ -181,9 +181,20 @@ def leq(p: Proposition, q: Proposition) -> bool:
 
 
 def prop_key(p: Proposition) -> tuple[tuple[int, ...], ...]:
-    """Deterministic total-order key: sorted tuple of sorted clause tuples."""
+    """Deterministic total-order key: sorted tuple of sorted clause tuples.
+
+    The clauses are the set bits of ``table & ~grow(table)``, read lowest
+    bit first, so only the clauses are visited, not all 2^n atom sets.
+    """
     atom_tuples = _atom_tuples(p.n)
-    return tuple(sorted(atom_tuples[c] for c in p.clauses))
+    minimal = p.table & ~grow(p.n, p.table)
+    clauses = []
+    while minimal:
+        low = minimal & -minimal
+        clauses.append(atom_tuples[low.bit_length() - 1])
+        minimal ^= low
+    clauses.sort()
+    return tuple(clauses)
 
 
 DEFAULT_ATOM_GUARD = 4
@@ -397,9 +408,10 @@ def format_proposition(p: Proposition) -> str:
     if p.is_top:
         return "top"
     parts = []
-    for clause in prop_key(p):
+    clauses = prop_key(p)
+    for clause in clauses:
         lits = [f"a{i}" for i in clause]
-        parts.append(" & ".join(lits) if len(p.clauses) == 1 or len(lits) == 1
+        parts.append(" & ".join(lits) if len(clauses) == 1 or len(lits) == 1
                      else "(" + " & ".join(lits) + ")")
     return " | ".join(parts)
 
