@@ -15,6 +15,16 @@ non-finite ``fuse-demo`` centre.
 Each subcommand imports only what it runs: ``hyperpower`` and ``ordered`` load
 no numpy, and ``fuse``, ``fuse-demo`` and ``belief`` load numpy alone, through
 :mod:`dsmfuse.chebfusion`.
+
+Dispatch: each subcommand has one function adding its arguments, and
+:func:`build_parser` assembles the full tree from them.  :func:`main` builds
+only the parser of the subcommand that ``argv[0]`` names, which reads the
+rest of ``argv`` as the tree's subparsers action would.  The full tree is
+built only when the top level must answer: no arguments, ``-h``, an unknown
+command, or arguments the subcommand leaves over, which the tree reports as
+unrecognized.  Nothing is kept from one :func:`main` call to the next, and
+each parser names its ``cmd_*`` function when it is built, so a ``cmd_*``
+replaced on this module is the one called.
 """
 
 from __future__ import annotations
@@ -202,22 +212,20 @@ def cmd_belief(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="dsmfuse", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("hyperpower", help="enumerate a free or constrained algebra")
+def _hyperpower_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("-n", type=_atom_count, required=True, help="number of atoms")
     p.add_argument("-c", "--constraints", help="constraint file, one '<expr> = <expr>' per line")
     p.add_argument("--max-atoms", type=_atom_guard, default=prebool.DEFAULT_ATOM_GUARD)
     p.set_defaults(func=cmd_hyperpower)
 
-    p = sub.add_parser("ordered", help="verify the staircase isomorphism")
+
+def _ordered_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("-n", type=_atom_count, required=True)
     p.add_argument("--max-atoms", type=_atom_guard, default=prebool.DEFAULT_ATOM_GUARD)
     p.set_defaults(func=cmd_ordered)
 
-    p = sub.add_parser("fuse-demo", help="run the Gaussian fusion experiment")
+
+def _fuse_demo_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--degree", type=_degree, default=128)
     p.add_argument("--grid", type=_grid_size, default=64)
     p.add_argument("--gauss1", type=_parse_center, default=(-1.0, 0.0))
@@ -225,25 +233,61 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="demo-out")
     p.set_defaults(func=cmd_fuse_demo)
 
-    p = sub.add_parser("fuse", help="fuse two coefficient files")
+
+def _fuse_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("first")
     p.add_argument("second")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fuse)
 
-    p = sub.add_parser("belief", help="belief of a generalized interval")
+
+def _belief_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("bba", help="coefficient file of a normalized density")
     p.add_argument("lo", type=float)
     p.add_argument("hi", type=float)
     p.set_defaults(func=cmd_belief)
 
+
+# name: (its line in the top-level help, the function adding its arguments).
+_SUBCOMMANDS = {
+    "hyperpower": ("enumerate a free or constrained algebra", _hyperpower_arguments),
+    "ordered": ("verify the staircase isomorphism", _ordered_arguments),
+    "fuse-demo": ("run the Gaussian fusion experiment", _fuse_demo_arguments),
+    "fuse": ("fuse two coefficient files", _fuse_arguments),
+    "belief": ("belief of a generalized interval", _belief_arguments),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full tree: the top-level parser with every subcommand's parser."""
+    # The note on dispatch is for readers of this module, not for ``-h``.
+    description = __doc__.partition("Dispatch:")[0]
+    parser = argparse.ArgumentParser(prog="dsmfuse", description=description)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, add_arguments) in _SUBCOMMANDS.items():
+        add_arguments(sub.add_parser(name, help=summary, prog=f"dsmfuse {name}"))
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv`` as :func:`build_parser`'s tree does, building less of it.
+
+    The named subcommand's parser makes the same ``parse_known_args`` call
+    that the tree's subparsers action makes; the tree itself is built only
+    when ``argv[0]`` names no subcommand or its parser leaves arguments over.
+    """
+    if argv and argv[0] in _SUBCOMMANDS:
+        parser = argparse.ArgumentParser(prog=f"dsmfuse {argv[0]}")
+        _SUBCOMMANDS[argv[0]][1](parser)
+        args, extras = parser.parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

@@ -69,6 +69,20 @@ def test_negative_atom_count_is_rejected():
     assert pb.top(0) == pb.varphi(0, [[]]) and pb.bottom(0) == pb.make_prop(0, [])
 
 
+def test_prop_key_is_kept_on_the_proposition():
+    # The listing's sort computes each key, and the quotient's re-sort reads
+    # the same object.  Equality, hashing and repr still look at n and table
+    # alone.
+    listed = pb.enumerate_hyperpower(3)
+    keys = [vars(p)["_prop_key"] for p in listed]
+    q = pb.quotient(listed, pb.ConstraintSet(()))
+    assert all(pb.prop_key(p) is k for p, k in zip(q.universe, keys))
+    for p in listed:
+        fresh = pb.Proposition(p.n, p.table)
+        assert (fresh, hash(fresh), repr(fresh)) == (p, hash(p), repr(p))
+        assert repr(p) == f"Proposition(n=3, table={p.table})"
+
+
 def test_meet_examples():
     a, b, c = (pb.atom_prop(3, i) for i in range(3))
     ab = pb.meet(a, b)
