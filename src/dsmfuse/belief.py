@@ -34,7 +34,13 @@ run as sweeps over pairs of keys (:func:`_lattice`; Kennes, IEEE Trans. SMC
 22(2), 1992): O(|L|·|J|) additions for |L| classes and |J|
 join-irreducibles (Björklund et al., TALG 2016), where a sum per class
 costs O(|L|·|F|) subset tests.  Float tables keep the per-class sums, whose
-summation order their results are defined by.  The module reads three
+summation order their results are defined by.
+
+Inversion follows one rule.  :func:`bba_from_bel` takes an exact table's
+Möbius sweep when it recovers no negative mass.  Otherwise, and for every
+float table, it runs the peeling sweep, which drops a dip in
+``[-MASS_TOL, 0)`` and rejects a deeper one; on a table without dips the
+two sweeps give the same masses.  The module reads three
 names from its algebra: ``key`` (a proposition's class key), ``top`` and
 ``rep_by_key`` (class key to representative, in representative order).
 A :class:`Quotient` is the free algebra modulo a congruence.  The sweeps
@@ -306,81 +312,76 @@ def bba_from_bel(
 ) -> FiniteBba:
     """Invert a belief table back into its mass function.
 
-    The masses are those of a sweep over the classes in ascending
-    :meth:`Quotient.key` order, a linear extension of the order, that peels
-    off the mass already recovered strictly below each class.  A recovered
-    mass below ``-MASS_TOL`` signals an inconsistent belief table; one in
-    ``[-MASS_TOL, 0]`` is dropped, so no later class subtracts it.  A float
-    table runs that sweep; an exact one, put on one common denominator, runs
-    the Möbius sweep of :func:`_mobius`, which gives the same masses.
+    The belief values are read once, in ascending :meth:`Quotient.key`
+    order, as numerators over one denominator.  A NaN or infinite belief is
+    an error.  Exact numerators run the Möbius sweep of :func:`_mobius`; if
+    no recovered mass is negative, those are the masses.  Otherwise, and
+    always for a float table, the peeling sweep runs: over the classes in
+    ascending key order, a linear extension of the order, it peels off the
+    mass already recovered strictly below each class.  A recovered mass
+    below ``-MASS_TOL`` signals an inconsistent belief table; one in
+    ``[-MASS_TOL, 0)`` is dropped, so no later class subtracts it.  On a
+    table with no negative Möbius mass the two sweeps agree, so the data,
+    not an option, picks the sweep.
 
     A table that :func:`bel_table` built over this very ``algebra`` object,
-    unchanged since, hands its integer sums to :func:`_mobius` directly,
-    divided by their gcd with the denominator.  That puts them on the lcm of
-    the table's reduced denominators, so the result, its numerators and its
-    denominator are those of the general path.  Any other table, an edited
-    one included, takes the general path.
+    unchanged since, hands over its integer sums directly, divided by their
+    gcd with the denominator.  That puts them on the lcm of the table's
+    reduced denominators, so the result, its numerators and its denominator
+    are those of any other table with the same values.  An edited table
+    reads its values as any other table does.
     """
+    ordered, _, pairs = _lattice(tuple(algebra.rep_by_key))
     carried = bel_values._carried(algebra) if isinstance(bel_values, _BeliefTable) else None
     if carried is not None:
-        sums, den = carried
-        g = math.gcd(den, *sums)
+        nums, den = carried
+        g = math.gcd(den, *nums)
         if g > 1:
             den //= g
-            sums = [s // g for s in sums]
-        mass = _mobius(algebra, sums, den)
-        return FiniteBba._from_keys(algebra, mass.items(), den, True, exhaustive)
-    key = algebra.key
-    values = {key(p): v for p, v in bel_values.items()}
-    missing = [rep for k, rep in algebra.rep_by_key.items() if k not in values]
-    if missing:
-        more = f" (and {len(missing) - 1} more)" if len(missing) > 1 else ""
-        raise BbaError(f"belief table misses {format_proposition(missing[0])}{more}")
-    nums, den, exact = _numerators(list(values.values()))
-    values = dict(zip(values, nums))
-    if exact:
-        ordered = _lattice(tuple(algebra.rep_by_key))[0]
-        mass = _mobius(algebra, [values[k] for k in ordered], den)
+            nums = [s // g for s in nums]
+        exact = True
     else:
-        # Masses recovered so far, by key.  Their classes were swept before
-        # K, so each one that lies below K lies strictly below it.
-        mass = {}
-        for K in sorted(values):
-            mv = values[K] - _below(mass, K)
-            if mv < -MASS_TOL:
-                raise InconsistentBelief(algebra.rep_by_key[K], mv)
-            if mv > 0:
-                mass[K] = mv
+        key = algebra.key
+        values = {key(p): v for p, v in bel_values.items()}
+        missing = [rep for k, rep in algebra.rep_by_key.items() if k not in values]
+        if missing:
+            more = f" (and {len(missing) - 1} more)" if len(missing) > 1 else ""
+            raise BbaError(f"belief table misses {format_proposition(missing[0])}{more}")
+        nums, den, exact = _numerators([values[k] for k in ordered])
+        if not exact:
+            for K, v in zip(ordered, nums):
+                # NaN fails every comparison, so the sweep would drop it
+                if v != v or abs(v) == math.inf:
+                    raise BbaError(f"non-finite belief {v} at {_name(algebra, K)}")
+    if exact:
+        mass = _mobius(nums, pairs)
+        if min(mass) >= 0:
+            items = ((k, v) for k, v in zip(ordered, mass) if v)
+            return FiniteBba._from_keys(algebra, items, den, True, exhaustive)
+    # Masses recovered so far, by key.  Their classes were swept before K,
+    # so each one that lies below K lies strictly below it.
+    mass = {}
+    for K, v in zip(ordered, nums):
+        mv = v - _below(mass, K)
+        if mv < 0 and (value := _as_value(mv, den, exact)) < -MASS_TOL:
+            raise InconsistentBelief(algebra.rep_by_key[K], value)
+        if mv > 0:
+            mass[K] = mv
     return FiniteBba._from_keys(algebra, mass.items(), den, exact, exhaustive)
 
 
-def _mobius(algebra: Quotient, table: list[int], den: int) -> dict[int, int]:
-    """The nonzero masses of an exact belief table, in ascending key order.
+def _mobius(table: list[int], pairs: tuple[tuple[int, int], ...]) -> list[int]:
+    """The Möbius inverse of an exact belief table, in ascending key order.
 
-    ``table`` holds the belief numerators over ``den`` in ascending key
-    order; it is read, not changed.  The Möbius sweep runs the pairs of
-    :func:`_lattice` in reverse and subtracts.  Where the peeling sweep
-    drops a dip, a recovered mass in ``[-MASS_TOL, 0)``, later classes
-    subtract no mass at its class; that is the Möbius inverse of the table
-    with the belief there raised by the dip.  So the first negative mass in
-    ascending key order, the first class where the two sweeps differ, is
-    either rejected, as the peeling sweep rejects it, or lifted to 0 by
-    raising its belief, and the table inverted again.  Each pass lifts a
-    later class, so at most |L| passes run.
+    ``table`` holds the belief numerators in ascending key order and is
+    read, not changed; ``pairs`` are :func:`_lattice`'s.  One sweep runs the
+    pairs in reverse and subtracts, undoing :func:`bel_table`'s zeta sweep.
+    The masses may be negative; :func:`bba_from_bel` then peels instead.
     """
-    ordered, _, pairs = _lattice(tuple(algebra.rep_by_key))
-    while True:
-        mass = table.copy()
-        for i, j in reversed(pairs):
-            mass[i] -= mass[j]
-        if min(mass) >= 0:
-            return {k: v for k, v in zip(ordered, mass) if v}
-        i = next(i for i, v in enumerate(mass) if v < 0)
-        value = _as_value(mass[i], den, True)
-        if value < -MASS_TOL:
-            raise InconsistentBelief(algebra.rep_by_key[ordered[i]], value)
-        table = table.copy()
-        table[i] -= mass[i]
+    mass = table.copy()
+    for i, j in reversed(pairs):
+        mass[i] -= mass[j]
+    return mass
 
 
 def fuse(m1: FiniteBba, m2: FiniteBba) -> FiniteBba:

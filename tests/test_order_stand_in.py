@@ -5,6 +5,8 @@ the two engines' agreement at cell edges.
 and ``fuse`` and ``bel`` read ``rep_by_key`` only to name an error.  The
 class keys of the order quotient are ``prebool.upsets(n, keep)``, with no
 universe, so a stand-in with those three names reaches n = 8 and past it.
+There, exact inversion runs both of its sweeps: the Möbius sweep on an
+unchanged table, and the peeling sweep on a table with dips.
 
 At cell edges the engines agree: cut [-1, 1] into n equal cells, put the
 exact mass of each cell pair of a spectral density on the order algebra's
@@ -105,3 +107,37 @@ def test_engines_agree_at_cell_edges(centers):
         for i0, j in cells:
             want = cf.belief(fused, cf.GeneralizedInterval(e[i0], e[j + 1]))
             assert abs(bf.bel(finite, interval[i0, j]) - want) <= 1e-14, (n, i0, j)
+
+
+def test_peeling_fallback_on_the_order_algebra_at_n8():
+    # Dips at classes of zero mass make the Möbius masses negative, so the
+    # peeling sweep runs.  A dip within MASS_TOL is dropped, which leaves
+    # every other class's mass as it was; a deeper one is rejected at the
+    # first such class in ascending key order, with its exact value.
+    alg = order_stand_in(8, with_reps=True)
+    rng = random.Random(29)
+    top = alg.key(alg.top)
+    inner = [k for k in alg.rep_by_key if k not in (0, top)]
+    focal = rng.sample(inner, 30)
+    weights = [rng.randint(1, 64) for _ in focal]
+    m = bf.FiniteBba(
+        alg, {alg.rep_by_key[k]: Fraction(w, sum(weights)) for k, w in zip(focal, weights)}
+    )
+    table = dict(bf.bel_table(m))
+    empty = sorted(rng.sample([k for k in inner if k not in focal], 8))
+    tolerable = Fraction(1, 10**13)
+    assert tolerable <= bf.MASS_TOL
+    for k in empty:
+        table[alg.rep_by_key[k]] -= tolerable
+    recovered = bf.bba_from_bel(alg, table)
+    assert recovered == m
+    assert all(type(v) is Fraction for v in recovered.mass.values())
+    deep = {k: Fraction(-(i + 1), 10**6) for i, k in enumerate(empty[3:])}
+    for k, dip in deep.items():
+        table[alg.rep_by_key[k]] += dip
+    with pytest.raises(bf.InconsistentBelief) as info:
+        bf.bba_from_bel(alg, table)
+    first = empty[3]
+    assert info.value.proposition is alg.rep_by_key[first]
+    assert info.value.value == deep[first] - tolerable
+    assert type(info.value.value) is Fraction
