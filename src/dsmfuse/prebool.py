@@ -109,9 +109,9 @@ class Proposition:
 
     @cached_property
     def clauses(self) -> frozenset[int]:
-        """The clause antichain: the inclusion-minimal set bits of ``table``,
-        read from :func:`prop_key`'s clause tuples, not from all 2^n bits."""
-        return frozenset(sum(1 << i for i in atoms) for atoms in prop_key(self))
+        """The clause antichain: the inclusion-minimal set bits of ``table``."""
+        minimal = self.table & ~grow(self.n, self.table)
+        return frozenset(c for c in range(1 << self.n) if minimal >> c & 1)
 
 
 def make_prop(n: int, masks: Iterable[int]) -> Proposition:
