@@ -32,7 +32,6 @@ so the module needs numpy alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -48,16 +47,36 @@ _EPS = np.finfo(float).eps
 FIT_RESIDUAL = 16
 
 
-@dataclass(frozen=True)
 class GeneralizedInterval:
-    """Interval description (lo, hi) with hi < lo allowed (contradiction)."""
+    """Interval description (lo, hi) with hi < lo allowed (contradiction).
 
-    lo: float
-    hi: float
+    A frozen value, as ``prebool.Proposition`` is: equal to an interval with
+    the same endpoints, hashed by them, and refusing assignment and deletion.
+    It does not share ``prebool``'s base class, so that the spectral
+    subcommands load nothing of the finite engine.
+    """
 
-    def __post_init__(self) -> None:
-        if not (-1 <= self.lo <= 1 and -1 <= self.hi <= 1):
+    def __init__(self, lo: float, hi: float) -> None:
+        if not (-1 <= lo <= 1 and -1 <= hi <= 1):
             raise ValueError("interval endpoints must lie in [-1, 1]")
+        self.__dict__.update(lo=lo, hi=hi)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.lo, self.hi) == (other.lo, other.hi)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.lo, self.hi))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(lo={self.lo!r}, hi={self.hi!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def interval_meet(a: GeneralizedInterval, b: GeneralizedInterval) -> GeneralizedInterval:

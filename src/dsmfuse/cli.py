@@ -25,6 +25,15 @@ command, or arguments the subcommand leaves over, which the tree reports as
 unrecognized.  Nothing is kept from one :func:`main` call to the next, and
 each parser names its ``cmd_*`` function when it is built, so a ``cmd_*``
 replaced on this module is the one called.
+
+Imports: this module loads argparse and no engine, and each ``cmd_*`` and
+argument builder imports its engine when it runs.  ``hyperpower`` loads
+:mod:`dsmfuse.prebool` alone, ``ordered`` loads it and :mod:`dsmfuse.ordered`,
+and ``fuse``, ``fuse-demo`` and ``belief`` load :mod:`dsmfuse.chebfusion` and
+nothing of the finite engine.  A write to stdout that fails, into a closed
+pipe or a full disk, ends in one error line and exit 1; stdout then points
+at the null device, so the interpreter's last flush prints nothing either.
+These notes, like the one on dispatch, are not part of ``-h``.
 """
 
 from __future__ import annotations
@@ -32,11 +41,10 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 import time
 from pathlib import Path
-
-from . import ordered, prebool
 
 EXIT_USAGE = 1
 EXIT_PARSE = 2
@@ -122,6 +130,8 @@ def _spectral(command):
 
 
 def cmd_hyperpower(args) -> int:
+    from . import prebool
+
     universe = _usage(prebool.enumerate_hyperpower, args.n, max_atoms=args.max_atoms)
     if args.constraints:
         try:
@@ -140,6 +150,8 @@ def cmd_hyperpower(args) -> int:
 
 
 def cmd_ordered(args) -> int:
+    from . import ordered
+
     report = _usage(ordered.verify_isomorphism, args.n, max_atoms=args.max_atoms)
     print(f"classes: {report.class_count}")
     print(f"staircases: {report.staircase_count}")
@@ -213,15 +225,19 @@ def cmd_belief(args) -> int:
 
 
 def _hyperpower_arguments(p: argparse.ArgumentParser) -> None:
+    from .prebool import DEFAULT_ATOM_GUARD
+
     p.add_argument("-n", type=_atom_count, required=True, help="number of atoms")
     p.add_argument("-c", "--constraints", help="constraint file, one '<expr> = <expr>' per line")
-    p.add_argument("--max-atoms", type=_atom_guard, default=prebool.DEFAULT_ATOM_GUARD)
+    p.add_argument("--max-atoms", type=_atom_guard, default=DEFAULT_ATOM_GUARD)
     p.set_defaults(func=cmd_hyperpower)
 
 
 def _ordered_arguments(p: argparse.ArgumentParser) -> None:
+    from .prebool import DEFAULT_ATOM_GUARD
+
     p.add_argument("-n", type=_atom_count, required=True)
-    p.add_argument("--max-atoms", type=_atom_guard, default=prebool.DEFAULT_ATOM_GUARD)
+    p.add_argument("--max-atoms", type=_atom_guard, default=DEFAULT_ATOM_GUARD)
     p.set_defaults(func=cmd_ordered)
 
 
@@ -291,13 +307,34 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
     except (ValueError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_NUMERIC
+    except OSError as exc:
+        # Every command turns its own file errors into CliError, so what gets
+        # here failed to write stdout, which then has a file descriptor.
+        fd = _descriptor(sys.stdout)
+        if fd is None:
+            raise
+        # The interpreter flushes stdout again at exit: that write goes nowhere.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    return code
+
+
+def _descriptor(stream) -> int | None:
+    try:
+        return stream.fileno()
+    except (OSError, ValueError):  # a StringIO, or a closed file
+        return None
 
 
 if __name__ == "__main__":

@@ -24,7 +24,6 @@ proposition; its staircase is {(i, j): i <= hi, j >= lo}, so the meet of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
@@ -43,8 +42,7 @@ def _triangle(n: int) -> int:
     return sum(1 << _interval(i, j) for j in range(n) for i in range(j + 1))
 
 
-@dataclass(frozen=True)
-class Staircase:
+class Staircase(prebool._Frozen):
     """Non-empty increasing subset of {(i, j): i <= j} over n atoms.
 
     Bit {i..j} of ``table``, indexed as in ``Proposition.table``, is set iff
@@ -52,19 +50,19 @@ class Staircase:
     every (a, b) with a <= i and b >= j belongs too.
     """
 
-    n: int
-    table: int
+    _fields = ("n", "table")
 
-    def __post_init__(self) -> None:
-        t, triangle = self.table, _triangle(self.n)
-        if not t:
+    def __init__(self, n: int, table: int) -> None:
+        triangle = _triangle(n)
+        if not table:
             raise ValueError("staircase must be non-empty")
-        if t & ~triangle:
+        if table & ~triangle:
             raise ValueError("staircase table has a bit outside the triangle")
         # The intervals one atom larger than a member are its one-step
         # extensions, through which every larger interval is reached.
-        if prebool.grow(self.n, t) & triangle & ~t:
+        if prebool.grow(n, table) & triangle & ~table:
             raise ValueError("staircase must be up-closed")
+        self.__dict__.update(n=n, table=table)
 
 
 def order_constraints(n: int) -> ConstraintSet:
@@ -108,12 +106,18 @@ def enumerate_staircases(n: int) -> list[Staircase]:
     return [Staircase(n, t) for t in prebool.upsets(n, _triangle(n)) if t]
 
 
-@dataclass
-class IsomorphismReport:
-    n: int
-    class_count: int
-    staircase_count: int
-    counterexamples: list[str]
+class IsomorphismReport(prebool._Record):
+    """What :func:`verify_isomorphism` found; ``ok`` when it found no problem."""
+
+    _fields = ("n", "class_count", "staircase_count", "counterexamples")
+
+    def __init__(
+        self, n: int, class_count: int, staircase_count: int, counterexamples: list[str]
+    ) -> None:
+        self.n = n
+        self.class_count = class_count
+        self.staircase_count = staircase_count
+        self.counterexamples = counterexamples
 
     @property
     def ok(self) -> bool:

@@ -18,8 +18,8 @@ meet, join and order are again ``&``, ``|`` and ``k1 & ~k2 == 0``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 
@@ -84,8 +84,50 @@ def _atom_tuples(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(i for i in range(n) if c >> i & 1) for c in range(1 << n))
 
 
-@dataclass(frozen=True)
-class Proposition:
+class _Record:
+    """A value made of the fields that ``_fields`` names, in that order.
+
+    Two records are equal when they are of one class with equal fields, and
+    ``repr`` shows the fields by name, as ``@dataclass`` does; a record is
+    unhashable.  A subclass's ``__init__`` sets the fields.  Instances keep
+    their state in ``__dict__``, so copy and pickle need nothing more.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        if cls._fields:  # _Frozen names none
+            # The field tuple; attrgetter of one name returns the bare value.
+            get = attrgetter(*cls._fields)
+            cls._values = staticmethod(get if len(cls._fields) > 1 else lambda r: (get(r),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class _Frozen(_Record):
+    """A record whose fields are set once, in ``__init__`` through ``__dict__``.
+
+    It is hashed by its field tuple, and assignment and deletion are refused.
+    """
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Proposition(_Frozen):
     """The truth table of a proposition over a fixed atom universe of size n.
 
     Bit S of ``table`` is set iff the atom set S contains a clause; the table
@@ -96,8 +138,10 @@ class Proposition:
     instance.
     """
 
-    n: int
-    table: int
+    _fields = ("n", "table")
+
+    def __init__(self, n: int, table: int) -> None:
+        self.__dict__.update(n=n, table=table)
 
     @property
     def is_bottom(self) -> bool:
@@ -225,11 +269,13 @@ def enumerate_hyperpower(n: int, max_atoms: int = DEFAULT_ATOM_GUARD) -> list[Pr
     return sorted((Proposition(n, t) for t in tables), key=prop_key)
 
 
-@dataclass(frozen=True)
-class ConstraintSet:
+class ConstraintSet(_Frozen):
     """Pairs of propositions declared equal."""
 
-    pairs: tuple[tuple[Proposition, Proposition], ...]
+    _fields = ("pairs",)
+
+    def __init__(self, pairs: tuple[tuple[Proposition, Proposition], ...]) -> None:
+        self.__dict__.update(pairs=pairs)
 
 
 def congruence_mask(gamma: ConstraintSet) -> int:

@@ -1,10 +1,11 @@
-"""Each entry point loads only the libraries it runs.
+"""Each entry point loads only the libraries and modules it runs.
 
 The finite engine and its subcommands are pure Python: importing the package
 or running ``hyperpower`` or ``ordered`` must not load numpy or scipy.  The
-spectral subcommands ``belief``, ``fuse`` and ``fuse-demo`` need numpy alone.
-Every case runs in a fresh interpreter, since this test process has loaded
-both already.
+spectral subcommands ``belief``, ``fuse`` and ``fuse-demo`` need numpy alone,
+and load neither ``prebool`` nor ``ordered``.  Importing ``dsmfuse.cli``
+loads no engine, and no entry point loads ``dataclasses``.  Every case runs
+in a fresh interpreter, since this test process has loaded all of them.
 """
 
 import json
@@ -21,13 +22,9 @@ README_PAIR = "a0 & a1 = a0 & a2\na0 & a2 = a1 & a2\n"
 UNIFORM_CHEB = "cheb2d 2\n0.25 0 0\n0 0 0\n0 0 0\n"
 
 
-def heavy_modules_after(code: str) -> tuple[set[str], str]:
-    """Top-level numpy/scipy packages loaded by ``code``, and its last stdout line."""
-    probe = (
-        code
-        + "\nimport json, sys\n"
-        + "print(json.dumps(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'})))\n"
-    )
+def modules_after(code: str) -> tuple[set[str], str]:
+    """Every module loaded after ``code`` runs, and the stdout it printed."""
+    probe = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
     result = subprocess.run(
         [sys.executable, "-c", probe],
         env={**os.environ, "PYTHONPATH": str(SRC)},
@@ -37,6 +34,18 @@ def heavy_modules_after(code: str) -> tuple[set[str], str]:
     )
     lines = result.stdout.splitlines()
     return set(json.loads(lines[-1])), "\n".join(lines[:-1])
+
+
+def heavy_modules_after(code: str) -> tuple[set[str], str]:
+    """Top-level numpy/scipy packages loaded by ``code``, and its stdout."""
+    loaded, out = modules_after(code)
+    return {m.split(".")[0] for m in loaded} & {"numpy", "scipy"}, out
+
+
+def engine_modules_after(code: str) -> tuple[set[str], str]:
+    """The ``dsmfuse`` submodules and ``dataclasses``, if ``code`` loads them."""
+    loaded, out = modules_after(code)
+    return {m for m in loaded if m.startswith("dsmfuse.") or m == "dataclasses"}, out
 
 
 def cli_code(argv: list[str]) -> str:
@@ -105,3 +114,40 @@ def test_star_import_loads_every_submodule():
         "from dsmfuse import *\nprint(sorted(n for n in dir() if not n.startswith('_')))"
     )
     assert out == "['belief', 'chebfusion', 'ordered', 'prebool']"
+
+
+def test_cli_import_loads_no_engine():
+    assert engine_modules_after("import dsmfuse.cli")[0] == {"dsmfuse.cli"}
+
+
+def test_hyperpower_loads_prebool_alone(tmp_path):
+    pair = tmp_path / "pair.txt"
+    pair.write_text(README_PAIR)
+    for argv in (["hyperpower", "-n", "3"], ["hyperpower", "-n", "3", "-c", str(pair)]):
+        loaded, out = engine_modules_after(cli_code(argv))
+        assert out.splitlines()[-1] == "exit 0", argv
+        assert loaded == {"dsmfuse.cli", "dsmfuse.prebool"}, argv
+
+
+def test_ordered_loads_the_finite_engine_it_runs():
+    loaded, out = engine_modules_after(cli_code(["ordered", "-n", "3"]))
+    assert out.splitlines()[-1] == "exit 0"
+    assert loaded == {"dsmfuse.cli", "dsmfuse.prebool", "dsmfuse.ordered"}
+
+
+def test_spectral_subcommands_load_no_finite_engine(tmp_path):
+    path = tmp_path / "uniform.cheb"
+    path.write_text(UNIFORM_CHEB)
+    for argv in (
+        ["belief", str(path), "--", "-0.5", "0.5"],
+        ["fuse", str(path), str(path), "--out", str(tmp_path / "fused.cheb")],
+        ["fuse-demo", "--degree", "8", "--grid", "2", "--out", str(tmp_path / "demo")],
+    ):
+        loaded, out = engine_modules_after(cli_code(argv))
+        assert out.splitlines()[-1] == "exit 0", argv
+        assert not loaded & {"dsmfuse.prebool", "dsmfuse.ordered"}, argv
+
+
+def test_star_import_loads_no_dataclasses():
+    loaded, _out = engine_modules_after("from dsmfuse import *")
+    assert loaded == {"dsmfuse.belief", "dsmfuse.chebfusion", "dsmfuse.ordered", "dsmfuse.prebool"}
