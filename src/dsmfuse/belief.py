@@ -320,7 +320,9 @@ def bba_from_bel(
     ascending key order, a linear extension of the order, it peels off the
     mass already recovered strictly below each class.  A recovered mass
     below ``-MASS_TOL`` signals an inconsistent belief table; one in
-    ``[-MASS_TOL, 0)`` is dropped, so no later class subtracts it.  On a
+    ``[-MASS_TOL, 0)`` is dropped, so no later class subtracts it.  With
+    ``exhaustive=True``, a float mass in ``(0, MASS_TOL]`` left on TOP is
+    rounding, not mass, and is dropped too.  On a
     table with no negative Möbius mass the two sweeps agree, so the data,
     not an option, picks the sweep.
 
@@ -367,6 +369,9 @@ def bba_from_bel(
             raise InconsistentBelief(algebra.rep_by_key[K], value)
         if mv > 0:
             mass[K] = mv
+    top = algebra.key(algebra.top)
+    if exhaustive and isinstance(mass.get(top), float) and mass[top] <= MASS_TOL:
+        del mass[top]
     return FiniteBba._from_keys(algebra, mass.items(), den, exact, exhaustive)
 
 

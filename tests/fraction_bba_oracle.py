@@ -90,6 +90,9 @@ def bba_from_bel(
         if mv > 0:
             mass[phi] = mv
             below.append((K, mv))
+    top = algebra.top
+    if exhaustive and isinstance(mass.get(top), float) and mass[top] <= MASS_TOL:
+        del mass[top]
     return FiniteBba(algebra, mass, exhaustive=exhaustive)
 
 

@@ -317,6 +317,36 @@ def test_inversion_rejects_negative_mass_beyond_tolerance(free2):
     assert raised.value.value == -dip and type(raised.value.value) is Fraction
 
 
+def test_inversion_drops_float_rounding_on_top(example3_algebra):
+    # Peeling this float table leaves 2**-53 on TOP, which an exhaustive
+    # inversion must not read as mass.
+    alg = example3_algebra
+    m = bf.FiniteBba(alg, {
+        pb.Proposition(3, 170): 0.10784313725490197,
+        pb.Proposition(3, 254): 0.6078431372549019,
+        pb.Proposition(3, 238): 0.28431372549019607,
+    })
+    table = bf.bel_table(m)
+    assert bf.bba_from_bel(alg, table, exhaustive=False)[alg.top] == 2**-53
+    recovered = bf.bba_from_bel(alg, table)
+    assert alg.top not in recovered.mass
+    for p in alg.representatives:
+        assert abs(recovered[p] - m[p]) < 1e-15
+
+
+@pytest.mark.parametrize("residue", [Fraction(1, 10**15), 2 * bf.MASS_TOL])
+def test_inversion_keeps_real_mass_on_top(free2, residue):
+    # An exact residue is mass, however small; a float one beyond the
+    # tolerance is too.  Both break the exhaustivity convention.
+    a = pb.atom_prop(2, 0)
+    table = {p: 1 - residue if pb.leq(a, p) else 0 for p in free2.representatives}
+    table[free2.top] = 1
+    if isinstance(residue, float):
+        table = {p: float(v) for p, v in table.items()}
+    with pytest.raises(bf.BbaError, match="TOP"):
+        bf.bba_from_bel(free2, table)
+
+
 def test_fusion_onto_bottom_is_rejected():
     # With a & b = BOTTOM the algebra is not insulated: the product of two
     # point masses lands on BOTTOM, key 0.
