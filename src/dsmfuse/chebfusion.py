@@ -8,7 +8,10 @@ transform on the Chebyshev-Lobatto tensor grid, and stored as their leading
 block: the coefficients past it are exactly zero and are not kept (Chebfun
 likewise stores a function as its chopped coefficients).  Belief is a corner
 cumulative integral of the density, and conjunctive fusion is a four-term
-combination of partial cumulatives.
+combination of partial cumulatives.  A point belief is a bilinear form in
+the leading block, so it needs no belief surface; that form, the ``.cheb``
+reader and :class:`GeneralizedInterval` live in :mod:`dsmfuse.chebseries`,
+which loads no numpy, so the ``belief`` subcommand runs without numpy.
 
 Fitting and fusion work at the degree the data resolves.  :func:`chop` finds
 where a series' coefficients reach their round-off plateau (Aurentz &
@@ -38,54 +41,19 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial import chebyshev as C
 
-NORMALIZATION_TOL = 1e-6
+from . import chebseries as _series
+from .chebseries import GeneralizedInterval
+
+# the interval algebra and the normalization check live in chebseries
+interval_meet = _series.interval_meet
+NORMALIZATION_TOL = _series.NORMALIZATION_TOL
+
 _EPS = np.finfo(float).eps
 
 # A coarse fit is accepted only if it reproduces every sample to this many
 # units of round-off in max|f|.  Accepted fits of seeded Gaussians at degrees
 # 128 and 512 come to 2.75-6 units.
 FIT_RESIDUAL = 16
-
-
-class GeneralizedInterval:
-    """Interval description (lo, hi) with hi < lo allowed (contradiction).
-
-    A frozen value, as ``prebool.Proposition`` is: equal to an interval with
-    the same endpoints, hashed by them, and refusing assignment and deletion.
-    It does not share ``prebool``'s base class, so that the spectral
-    subcommands load nothing of the finite engine.
-    """
-
-    def __init__(self, lo: float, hi: float) -> None:
-        if not (-1 <= lo <= 1 and -1 <= hi <= 1):
-            raise ValueError("interval endpoints must lie in [-1, 1]")
-        self.__dict__.update(lo=lo, hi=hi)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.lo, self.hi) == (other.lo, other.hi)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.lo, self.hi))
-
-    def __repr__(self) -> str:
-        return f"{self.__class__.__qualname__}(lo={self.lo!r}, hi={self.hi!r})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
-def interval_meet(a: GeneralizedInterval, b: GeneralizedInterval) -> GeneralizedInterval:
-    """Conjunction of interval evidence: tightest common description.
-
-    max/min keep both coordinates inside [-1, 1], so the family of
-    generalized intervals is closed under meets.
-    """
-    return GeneralizedInterval(max(a.lo, b.lo), min(a.hi, b.hi))
 
 
 class ChebDensity:
@@ -96,8 +64,7 @@ class ChebDensity:
     byte), and its degree.  ``ChebDensity(coeffs)`` scans a full matrix
     once and copies the block; the library builds its results from blocks.
     ``coeffs``, the full (degree+1)^2 matrix, is built on first use.
-    Equality and hashing are by identity; the cached belief surface belongs
-    to the object, not to its coefficients.
+    Equality and hashing are by identity.
     """
 
     def __init__(self, coeffs) -> None:
@@ -133,11 +100,6 @@ class ChebDensity:
         # a new array of the first size x size coefficients, zero past the block
         c = self._block[:size, :size]
         return np.pad(c, (0, size - c.shape[0]))
-
-    @cached_property
-    def _belief_surface(self) -> ChebDensity:
-        # built once per density; belief_surface checks normalization first
-        return cumulative(self, corner=(-1, 1))
 
 
 def lobatto_nodes(n: int) -> np.ndarray:
@@ -338,25 +300,26 @@ def belief(m: ChebDensity, iv: GeneralizedInterval) -> float:
 
     An interval (u, v) is contained in (lo, hi) iff u >= lo and v <= hi, so
     the belief is the integral of the density over u in [lo, 1], v in
-    [-1, hi].
+    [-1, hi]: the bilinear form a @ block @ b of :mod:`dsmfuse.chebseries`,
+    each row's sum with b taken first.  No belief surface is built.
     """
-    return evaluate(belief_surface(m), iv.lo, iv.hi)
+    _require_normalized(m)
+    a, b = _series.belief_basis(iv.lo, iv.hi, m._block.shape[0])
+    return float(np.array(a) @ (m._block @ np.array(b)))
 
 
 def belief_surface(m: ChebDensity) -> ChebDensity:
     """The belief of (x, y) as a function of the interval endpoints.
 
-    The surface is built on first use and kept on the density, so many
-    beliefs of one density integrate it once.
+    This is the corner cumulative ``cumulative(m, corner=(-1, 1))``;
+    :func:`belief` gives its value at a point without building it.
     """
     _require_normalized(m)
-    return m._belief_surface
+    return cumulative(m, corner=(-1, 1))
 
 
 def _require_normalized(d: ChebDensity) -> None:
-    total = integral_full(d)
-    if not abs(total - 1) <= NORMALIZATION_TOL:  # a NaN total fails too
-        raise ValueError(f"density is not normalized (integral {total})")
+    _series.require_normalized(integral_full(d))
 
 
 def chop(d: ChebDensity) -> int:
@@ -501,56 +464,17 @@ def save_coeffs(d: ChebDensity, path) -> None:
     with open(path, "w") as fh:
         fh.write(f"cheb2d {d.degree}\n")
         fh.writelines(" ".join(map(repr, row)) + tail for row in d._block.tolist())
-        fh.write(_zero_row_text(d.degree) * (n - size))
-
-
-def _zero_row_text(degree: int) -> str:
-    # save_coeffs's all-zero row, 4 * degree + 4 characters long
-    return "0.0" + " 0.0" * degree + "\n"
+        fh.write(_series.zero_row_text(d.degree) * (n - size))
 
 
 def load_coeffs(path) -> ChebDensity:
-    """Read a :func:`save_coeffs` file, stopping at the first malformed row.
+    """Read a :func:`save_coeffs` file through :func:`dsmfuse.chebseries.read_block`.
 
     Malformed text, including bytes that do not decode, raises ValueError,
-    and every such error's text starts with ``f"{path}: "``.  A line whose
-    text is exactly the writer's all-zero row becomes zeros without a parse;
-    every other line, an all-zero row written any other way included, is
-    split and parsed.  The trailing run of the writer's zero rows never
-    becomes an array.
+    and every such error's text starts with ``f"{path}: "``.
     """
-    try:
-        with open(path) as fh:
-            header = fh.readline().split()
-            if len(header) != 2 or header[0] != "cheb2d" or not header[1].isdecimal():
-                raise ValueError("malformed coefficient header")
-            n = int(header[1])
-            rows = []
-            zero_row = None  # built only once a line of its length is read
-            for k in range(1, n + 2):
-                line = fh.readline()
-                if len(line) == 4 * n + 4:
-                    if zero_row is None:
-                        zero_text, zero_row = _zero_row_text(n), [0.0] * (n + 1)
-                    if line == zero_text:
-                        rows.append(zero_row)
-                        continue
-                rows.append(list(map(float, line.split())))
-                if len(rows[-1]) != n + 1:
-                    raise ValueError(
-                        f"row {k} holds {len(rows[-1])} coefficients, expected {n + 1}"
-                    )
-        # the trailing writer zero rows hold nothing: the block comes from
-        # the rows above them, squared up with zero rows if it is wider
-        m = len(rows)
-        while m and rows[m - 1] is zero_row:
-            m -= 1
-        head = np.asarray(rows[:m], dtype=float).reshape(m, n + 1)
-        used = np.flatnonzero(((head != 0) | np.signbit(head)).any(axis=0))
-        size = max(m, used[-1] + 1 if used.size else 1)
-        return ChebDensity._from_block(np.pad(head[:, :size], ((0, size - m), (0, 0))), n)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    degree, rows = _series.read_block(path)
+    return ChebDensity._from_block(np.array(rows), degree)
 
 
 def grid_samples(d: ChebDensity, g: int) -> tuple[np.ndarray, np.ndarray]:

@@ -12,9 +12,9 @@ library finds it: among others an ``-n`` above ``--max-atoms``, a
 ``--max-atoms`` below 1, a ``belief`` endpoint outside [-1, 1] or NaN, and a
 non-finite ``fuse-demo`` centre.
 
-Each subcommand imports only what it runs: ``hyperpower`` and ``ordered`` load
-no numpy, and ``fuse``, ``fuse-demo`` and ``belief`` load numpy alone, through
-:mod:`dsmfuse.chebfusion`.
+Each subcommand imports only what it runs: ``hyperpower``, ``ordered`` and
+``belief`` load no numpy, and ``fuse`` and ``fuse-demo`` load numpy alone,
+through :mod:`dsmfuse.chebfusion`.
 
 Dispatch: each subcommand has one function adding its arguments, and
 :func:`build_parser` assembles the full tree from them.  :func:`main` builds
@@ -29,11 +29,12 @@ replaced on this module is the one called.
 Imports: this module loads argparse and no engine, and each ``cmd_*`` and
 argument builder imports its engine when it runs.  ``hyperpower`` loads
 :mod:`dsmfuse.prebool` alone, ``ordered`` loads it and :mod:`dsmfuse.ordered`,
-and ``fuse``, ``fuse-demo`` and ``belief`` load :mod:`dsmfuse.chebfusion` and
-nothing of the finite engine.  A write to stdout that fails, into a closed
-pipe or a full disk, ends in one error line and exit 1; stdout then points
-at the null device, so the interpreter's last flush prints nothing either.
-These notes, like the one on dispatch, are not part of ``-h``.
+``fuse`` and ``fuse-demo`` load :mod:`dsmfuse.chebfusion`, and ``belief``
+:mod:`dsmfuse.chebseries` alone; none loads the finite engine.  A write to stdout that fails, help text
+included, into a closed pipe or a full disk, ends in one error line and
+exit 1; stdout then points at the null device, so the interpreter's last
+flush prints nothing either.  These notes, like the one on dispatch, are
+not part of ``-h``.
 """
 
 from __future__ import annotations
@@ -101,12 +102,10 @@ def _usage(call, *args, **kwargs):
         raise CliError(str(exc), EXIT_USAGE) from None
 
 
-def _load(path):
-    """Read a ``.cheb`` file; one that cannot be read or parsed exits 2."""
-    from . import chebfusion as cf
-
+def _load(read, path):
+    """Read a ``.cheb`` file with ``read``; one that cannot be read or parsed exits 2."""
     try:
-        return cf.load_coeffs(path)
+        return read(path)
     except (OSError, ValueError) as exc:
         raise CliError(str(exc), EXIT_PARSE) from None
 
@@ -206,7 +205,7 @@ def cmd_fuse_demo(args) -> int:
 def cmd_fuse(args) -> int:
     from . import chebfusion as cf
 
-    fused = cf.fuse(_load(args.first), _load(args.second))
+    fused = cf.fuse(_load(cf.load_coeffs, args.first), _load(cf.load_coeffs, args.second))
     try:
         cf.save_coeffs(fused, args.out)
     except OSError as exc:
@@ -215,12 +214,13 @@ def cmd_fuse(args) -> int:
     return 0
 
 
-@_spectral
 def cmd_belief(args) -> int:
-    from . import chebfusion as cf
+    from . import chebseries as cs
 
-    iv = _usage(cf.GeneralizedInterval, args.lo, args.hi)
-    print(f"{cf.belief(_load(args.bba), iv):.12g}")
+    iv = _usage(cs.GeneralizedInterval, args.lo, args.hi)
+    rows = _load(cs.read_block, args.bba)[1]
+    cs.require_normalized(cs.integral(rows))
+    print(f"{cs.belief(rows, iv):.12g}")
     return 0
 
 
@@ -274,11 +274,19 @@ _SUBCOMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose failed writes raise; argparse's own ignore them."""
+
+    def _print_message(self, message, file=None):
+        if message:
+            (file or sys.stderr).write(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The full tree: the top-level parser with every subcommand's parser."""
     # The note on dispatch is for readers of this module, not for ``-h``.
     description = __doc__.partition("Dispatch:")[0]
-    parser = argparse.ArgumentParser(prog="dsmfuse", description=description)
+    parser = _Parser(prog="dsmfuse", description=description)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (summary, add_arguments) in _SUBCOMMANDS.items():
         add_arguments(sub.add_parser(name, help=summary, prog=f"dsmfuse {name}"))
@@ -293,7 +301,7 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     when ``argv[0]`` names no subcommand or its parser leaves arguments over.
     """
     if argv and argv[0] in _SUBCOMMANDS:
-        parser = argparse.ArgumentParser(prog=f"dsmfuse {argv[0]}")
+        parser = _Parser(prog=f"dsmfuse {argv[0]}")
         _SUBCOMMANDS[argv[0]][1](parser)
         args, extras = parser.parse_known_args(argv[1:])
         if not extras:
@@ -303,11 +311,7 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _parse(sys.argv[1:] if argv is None else argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
-    try:
-        code = args.func(args)
+        code = _run(sys.argv[1:] if argv is None else argv)
         sys.stdout.flush()
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -328,6 +332,14 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return code
+
+
+def _run(argv: list[str]) -> int:
+    try:
+        args = _parse(argv)
+    except SystemExit as exc:  # -h, or a usage error argparse has reported
+        return EXIT_USAGE if exc.code not in (0, None) else 0
+    return args.func(args)
 
 
 def _descriptor(stream) -> int | None:

@@ -312,6 +312,37 @@ def test_belief_command_whole_domain(tmp_path, capsys):
     assert float(out.strip()) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_belief_command_computes_the_library_belief(tmp_path, capsys, monkeypatch):
+    # The value cmd_belief formats, from chebseries's plain-Python form, is
+    # the library's belief to 1e-15 on the demo's normalized files.
+    from dsmfuse import chebseries
+
+    demo = tmp_path / "demo"
+    assert run(capsys, "fuse-demo", "--grid", "2", "--out", str(demo))[0] == 0
+    computed = []
+    form = chebseries.belief
+    monkeypatch.setattr(chebseries, "belief", lambda *a: computed.append(form(*a)) or computed[-1])
+    rng = np.random.default_rng(31)
+    points = [(-1.0, 1.0), (1.0, -1.0)] + rng.uniform(-1, 1, (20, 2)).tolist()
+    for name in ("m1", "m2", "m1+m2"):
+        density = cf.load_coeffs(demo / f"{name}.cheb")
+        for lo, hi in points:
+            code, out, err = run(capsys, "belief", str(demo / f"{name}.cheb"), "--", repr(lo), repr(hi))
+            assert (code, err) == (0, "")
+            direct = cf.belief(density, cf.GeneralizedInterval(lo, hi))
+            assert abs(computed[-1] - direct) <= 1e-15, (name, lo, hi)
+            assert out == f"{computed[-1]:.12g}\n"
+
+
+def test_belief_command_integrates_a_wide_density_exactly(tmp_path, capsys):
+    # This density is 0.25 + 1e300 (x + y): it integrates to exactly 1 but
+    # is -2e300 at (-1, -1).  Its belief of the whole square is that
+    # integral, which evaluating a belief surface loses to cancellation.
+    path = tmp_path / "wide.cheb"
+    path.write_text("cheb2d 1\n0.25 1e300\n1e300 0\n")
+    assert run(capsys, "belief", str(path), "--", "-1", "1") == (0, "1\n", "")
+
+
 def test_belief_command_rejects_unnormalized(tmp_path, capsys):
     path = tmp_path / "raw.cheb"
     cf.save_coeffs(cf.fit(cf.gaussian(-1, 0), 32), path)

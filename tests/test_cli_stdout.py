@@ -5,7 +5,8 @@ A process whose reader has gone, or whose stdout is a full device, prints
 ``Exception ignored`` from the interpreter's last flush.  Each case runs
 in a fresh interpreter, since the failure must reach the real descriptor.
 Small outputs are still in the buffer when the command returns, so they
-fail at the flush in ``main``; large ones fail inside the command.
+fail at the flush in ``main``; large ones fail inside the command.  Help
+text fails the same way, although argparse ignores a failed write.
 """
 
 import io
@@ -48,7 +49,10 @@ def test_closed_pipe_is_one_error_line(argv):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-@pytest.mark.parametrize("argv", [SMALL, LARGE], ids=["at-flush", "in-command"])
+@pytest.mark.parametrize(
+    "argv", [SMALL, LARGE, ["-h"], ["belief", "-h"]],
+    ids=["at-flush", "in-command", "help", "subcommand-help"],
+)
 def test_full_device_is_one_error_line(argv):
     with open("/dev/full", "w") as full:
         result = run_into(full, argv)

@@ -225,19 +225,20 @@ def test_belief_examples(m1):
         cf.belief(unnormalized, cf.GeneralizedInterval(0, 0))
 
 
-def test_belief_surface_is_built_once(monkeypatch):
-    m = cf.normalize(cf.fit(MM1, 64))
-    fresh = cf.cumulative(m, corner=(-1, 1))
-    calls = []
-    counted = cf.cumulative
-    monkeypatch.setattr(cf, "cumulative", lambda *a, **k: calls.append(a) or counted(*a, **k))
-    surface = cf.belief_surface(m)
-    points = [(-0.5, 0.5), (-1, 1), (0.3, -0.2), (0.6, 0.05)]
-    beliefs = [cf.belief(m, cf.GeneralizedInterval(lo, hi)) for lo, hi in points]
-    assert len(calls) == 1
-    assert cf.belief_surface(m) is surface
-    assert np.array_equal(surface.coeffs, fresh.coeffs)
-    assert beliefs == [cf.evaluate(fresh, lo, hi) for lo, hi in points]
+@pytest.mark.parametrize("degree", [64, 128, 512])
+def test_belief_form_matches_the_belief_surface(degree):
+    # The bilinear form replaced evaluating the corner cumulative; that
+    # surface, summed by evaluate, is its oracle.  Fitted and fused densities
+    # at seeded centres, probed at the four corners and 200 seeded points.
+    rng = np.random.default_rng(degree)
+    m1, m2 = (cf.normalize(cf.fit(cf.gaussian(*rng.uniform(-1, 1, 2)), degree)) for _ in range(2))
+    points = [(-1.0, 1.0), (-1.0, -1.0), (1.0, 1.0), (1.0, -1.0)]
+    points += [tuple(p) for p in rng.uniform(-1, 1, (200, 2)).tolist()]
+    for m in (m1, m2, cf.fuse(m1, m2)):
+        surface = cf.cumulative(m, corner=(-1, 1))
+        for lo, hi in points:
+            form = cf.belief(m, cf.GeneralizedInterval(lo, hi))
+            assert abs(form - cf.evaluate(surface, lo, hi)) <= 2e-15, (degree, lo, hi)
 
 
 def test_trailing_zero_coefficients_change_no_value(m1):

@@ -2,8 +2,9 @@
 
 The finite engine and its subcommands are pure Python: importing the package
 or running ``hyperpower`` or ``ordered`` must not load numpy or scipy.  The
-spectral subcommands ``belief``, ``fuse`` and ``fuse-demo`` need numpy alone,
-and load neither ``prebool`` nor ``ordered``.  Importing ``dsmfuse.cli``
+spectral subcommands ``fuse`` and ``fuse-demo`` need numpy alone, and
+``belief`` loads neither numpy nor ``chebfusion``; none of them loads
+``prebool`` or ``ordered``.  Importing ``dsmfuse.cli``
 loads no engine, and no entry point loads ``dataclasses``.  Every case runs
 in a fresh interpreter, since this test process has loaded all of them.
 """
@@ -75,12 +76,13 @@ def test_finite_subcommands_load_neither_library(tmp_path):
         assert loaded == set(), argv
 
 
-def test_belief_subcommand_loads_numpy_only(tmp_path):
+def test_belief_subcommand_loads_neither_numpy_nor_chebfusion(tmp_path):
     path = tmp_path / "uniform.cheb"
     path.write_text(UNIFORM_CHEB)
-    loaded, out = heavy_modules_after(cli_code(["belief", str(path), "--", "-0.5", "0.5"]))
+    loaded, out = modules_after(cli_code(["belief", str(path), "--", "-0.5", "0.5"]))
     assert out.splitlines() == ["0.5625", "exit 0"]
-    assert loaded == {"numpy"}
+    assert not {m.split(".")[0] for m in loaded} & {"numpy", "scipy"}
+    assert {m for m in loaded if m.startswith("dsmfuse.")} == {"dsmfuse.cli", "dsmfuse.chebseries"}
 
 
 def test_fuse_subcommands_load_numpy_only(tmp_path):
@@ -150,4 +152,5 @@ def test_spectral_subcommands_load_no_finite_engine(tmp_path):
 
 def test_star_import_loads_no_dataclasses():
     loaded, _out = engine_modules_after("from dsmfuse import *")
-    assert loaded == {"dsmfuse.belief", "dsmfuse.chebfusion", "dsmfuse.ordered", "dsmfuse.prebool"}
+    assert loaded == {"dsmfuse.belief", "dsmfuse.chebfusion", "dsmfuse.chebseries",
+                      "dsmfuse.ordered", "dsmfuse.prebool"}

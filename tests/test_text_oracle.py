@@ -48,13 +48,19 @@ VALUES = st.one_of(
 )
 
 
+# Ways to spoil the writer's zero tail after a row's values: a doubled
+# space, another zero inside it, or one token too few or too many.
+TAIL_MISSES = ["", "", "double space", "0.00", "-0.0", "short", "long"]
+
+
 @st.composite
 def cheb_texts(draw):
-    """A .cheb text at degree 0-20 whose rows mix the writer's zero row with near misses."""
+    """A .cheb text at degree 0-20 whose rows mix the writer's zero row and
+    zero tail with near misses."""
     n = draw(st.integers(0, 20))
     lines = []
     for _ in range(draw(st.sampled_from([n + 1, n + 1, n + 1, n, n + 2]))):
-        kind = draw(st.sampled_from(["zero", "zero", "near", "values", "count"]))
+        kind = draw(st.sampled_from(["zero", "zero", "near", "values", "count", "tail", "tail"]))
         tokens = ["0.0"] * (n + 1)
         if kind == "near":
             tokens[draw(st.integers(0, n))] = draw(st.sampled_from(NEAR_ZEROS))
@@ -63,8 +69,16 @@ def cheb_texts(draw):
         elif kind == "count":
             tokens = draw(st.lists(VALUES, min_size=n, max_size=n + 2).filter(
                 lambda t: len(t) != n + 1))
-        sep = " " if kind == "zero" else draw(st.sampled_from([" ", " ", "  "]))
-        trail = "" if kind == "zero" else draw(st.sampled_from(["", "", " "]))
+        elif kind == "tail":
+            tokens = draw(st.lists(VALUES, max_size=n + 1))
+            miss = draw(st.sampled_from(TAIL_MISSES))
+            tail = ["0.0"] * (n + 1 - len(tokens) + {"short": -1, "long": 1}.get(miss, 0))
+            if tail and miss in ("double space", "0.00", "-0.0"):
+                spoilt = " 0.0" if miss == "double space" else miss
+                tail[draw(st.integers(0, len(tail) - 1))] = spoilt
+            tokens += tail
+        sep = " " if kind in ("zero", "tail") else draw(st.sampled_from([" ", " ", "  "]))
+        trail = "" if kind in ("zero", "tail") else draw(st.sampled_from(["", "", " "]))
         end = draw(st.sampled_from(["\n", "\n", "\r\n"]))
         lines.append(sep.join(tokens) + trail + end)
     text = f"cheb2d {n}\n" + "".join(lines)
@@ -85,6 +99,21 @@ def read(reader, path):
 @given(text=cheb_texts())
 @example(text="cheb2d 2\n0.0 0.0 0.0\n-0. 0.0 0.0\n0.0 0.0 0.0")
 @example(text="cheb2d 1\n0.25 0.0\r\n0.0  0.0\n")
+# a line as long as the writer's zero row that is not it
+@example(text="cheb2d 2\n0.0 1.0 0.0\n0.0 0.0 0.0\n0.0 0.0 0.0\n")
+# a value head and the writer's zero tail, after values ending in 0 and "."
+@example(text="cheb2d 3\n0.25 -1.5 0.0 0.0\n100.0 1e+100 0.0 0.0\n1000.0 0.0 0.0 0.0\n"
+              "0.0 0.0 0.0 0.0\n")
+# the tail with a doubled space, and with 0.00 or -0.0 inside it
+@example(text="cheb2d 3\n0.25 1.5  0.0 0.0\n0.0 0.0 0.0 0.0\n0.0 0.0 0.0 0.0\n0.0 0.0 0.0 0.0\n")
+@example(text="cheb2d 3\n0.25 1.5 0.00 0.0\n0.0 0.0 0.0 0.0\n0.0 0.0 0.0 0.0\n0.0 0.0 0.0 0.0\n")
+@example(text="cheb2d 3\n0.25 1.5 0.0 -0.0\n0.5 0.0 -0.0 0.0\n0.0 0.0 0.0 0.0\n0.0 0.0 0.0 0.0\n")
+# the tail ended by "\r\n", or by no newline at the end of the file
+@example(text="cheb2d 2\n0.25 1.5 0.0\r\n0.5 0.0 0.0\r\n0.0 0.0 0.0\r\n")
+@example(text="cheb2d 2\n0.25 0.0 0.0\n0.0 0.0 0.0\n0.5 0.0 0.0")
+# the tail one token short, and one token long
+@example(text="cheb2d 3\n0.25 1.5 0.0\n0.0 0.0 0.0 0.0\n0.0 0.0 0.0 0.0\n0.0 0.0 0.0 0.0\n")
+@example(text="cheb2d 3\n0.25 1.5 0.0 0.0 0.0\n0.0 0.0 0.0 0.0\n0.0 0.0 0.0 0.0\n0.0 0.0 0.0 0.0\n")
 def test_reader_reads_the_old_values(tmp_path, text):
     # Values are compared as bytes, so a -0.0 read as +0.0 fails.
     path = tmp_path / "rows.cheb"
