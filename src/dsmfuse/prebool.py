@@ -84,6 +84,25 @@ def _atom_tuples(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(i for i in range(n) if c >> i & 1) for c in range(1 << n))
 
 
+@lru_cache(maxsize=None)
+def _clause_walk(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    # For the clauses in atom-tuple order: their up-set tables, their atom
+    # tuples, and for each position j the positions after j whose clause is
+    # incomparable with clause j, as a bitmask over positions.
+    atom_tuples = _atom_tuples(n)
+    order = sorted(range(1 << n), key=atom_tuples.__getitem__)
+    up = _up_sets(n)
+    later = []
+    for j, c in enumerate(order):
+        mask = 0
+        for k in range(j + 1, len(order)):
+            d = order[k]
+            if c & ~d and d & ~c:
+                mask |= 1 << k
+        later.append(mask)
+    return (tuple(up[c] for c in order), tuple(atom_tuples[c] for c in order), tuple(later))
+
+
 class _Record:
     """A value made of the fields that ``_fields`` names, in that order.
 
@@ -229,12 +248,13 @@ def leq(p: Proposition, q: Proposition) -> bool:
 def prop_key(p: Proposition) -> tuple[tuple[int, ...], ...]:
     """Deterministic total-order key: sorted tuple of sorted clause tuples.
 
-    The clauses are the set bits of ``table & ~grow(table)``, read lowest
-    bit first, so only the clauses are visited, not all 2^n atom sets.  The
-    key is computed once per instance and kept in its ``__dict__``, where
-    ``cached_property`` keeps ``clauses``.  A ``cached_property`` here would
-    also take a lock on each first read, which on Python 3.11 made listing
-    the 168 propositions over 4 atoms about a fifth slower.
+    The key is kept in the instance's ``__dict__``, where ``cached_property``
+    keeps ``clauses``.  :func:`enumerate_hyperpower` stores it on every
+    element it lists, so sorting, quotients and :func:`format_proposition`
+    read it there.  Any other instance computes it on first use: its clauses
+    are the set bits of ``table & ~grow(table)``, read lowest bit first, so
+    only the clauses are visited, not all 2^n atom sets.  A
+    ``cached_property`` here would also take a lock on each first read.
     """
     cache = p.__dict__
     key = cache.get("_prop_key")
@@ -257,16 +277,37 @@ DEFAULT_ATOM_GUARD = 4
 def enumerate_hyperpower(n: int, max_atoms: int = DEFAULT_ATOM_GUARD) -> list[Proposition]:
     """All distinct propositions over n atoms, sorted by :func:`prop_key`.
 
-    These are :func:`upsets` with every bit kept.  The count is the n-th
-    Dedekind number (3, 6, 20, 168 for n = 1..4), which grows too fast for
-    n > 5; ``max_atoms`` guards against runaway sizes.
+    Each proposition is its clause antichain, and its key is that antichain's
+    atom tuples in ascending order.  A depth-first walk lists the antichains
+    in preorder, adding to each only clauses that come later in atom-tuple
+    order and are incomparable with every clause chosen so far.  Preorder
+    over ascending sequences is their lexicographic order, a prefix first,
+    which is :func:`prop_key` order; so nothing is sorted, and each
+    element's key, its parent's key and one more tuple, is stored on it.
+    The count is the n-th Dedekind number (3, 6, 20, 168 for n = 1..4),
+    which grows too fast for n > 5; ``max_atoms`` guards against runaway
+    sizes.
     """
     if n < 1:
         raise ValueError("need at least one atom")
     if n > max_atoms:
         raise ValueError(f"n={n} exceeds the enumeration guard ({max_atoms})")
-    tables = upsets(n, _up_sets(n)[0])
-    return sorted((Proposition(n, t) for t in tables), key=prop_key)
+    up, atom_tuples, later = _clause_walk(n)
+    listing = []
+    # Each entry is a node's table, key and the positions it may still add.
+    # A node's children are pushed last first, so they are popped in order.
+    stack = [(0, (), (1 << len(up)) - 1)]
+    while stack:
+        table, key, free = stack.pop()
+        p = Proposition(n, table)
+        p.__dict__["_prop_key"] = key
+        listing.append(p)
+        rest = free
+        while rest:
+            j = rest.bit_length() - 1
+            rest ^= 1 << j
+            stack.append((table | up[j], key + (atom_tuples[j],), free & later[j]))
+    return listing
 
 
 class ConstraintSet(_Frozen):

@@ -10,6 +10,7 @@ from dsmfuse import ordered as od
 from dsmfuse import prebool as pb
 
 import demo_closed_form as dcf
+import hyperpower_oracle
 from test_quotient_oracle import CASES
 
 EXAMPLE3_CONSTRAINTS = "a0 & a1 = a0 & a2\na0 & a2 = a1 & a2\n"
@@ -62,7 +63,7 @@ def test_hyperpower_lists_class_representatives(tmp_path, capsys, n, gamma, guar
     for p, q in gamma.pairs:
         mask |= p.table ^ q.table
     reps = {}
-    for p in pb.enumerate_hyperpower(n, max_atoms=5):
+    for p in hyperpower_oracle.enumerate_hyperpower(n):
         reps.setdefault(p.table & ~mask, p)
     expected = "".join(f"{pb.format_proposition(p)}\n" for p in reps.values())
     code, out, err = run(capsys, "hyperpower", "-n", str(n), *guard, "-c", str(path))
