@@ -239,6 +239,11 @@ def _name(algebra: Quotient, k: int) -> str:
     return format_proposition(algebra.rep_by_key[k])
 
 
+def _non_finite(v) -> bool:
+    # NaN fails every comparison, so the peeling sweep would drop it
+    return v != v or abs(v) == math.inf
+
+
 def bel(m: FiniteBba, phi: Proposition):
     """Cumulative mass over every class below phi (phi included)."""
     return m._value(_below(m._num, m.algebra.key(phi)))
@@ -314,17 +319,18 @@ def bba_from_bel(
 
     The belief values are read once, in ascending :meth:`Quotient.key`
     order, as numerators over one denominator.  A NaN or infinite belief is
-    an error.  Exact numerators run the Möbius sweep of :func:`_mobius`; if
-    no recovered mass is negative, those are the masses.  Otherwise, and
-    always for a float table, the peeling sweep runs: over the classes in
-    ascending key order, a linear extension of the order, it peels off the
-    mass already recovered strictly below each class.  A recovered mass
-    below ``-MASS_TOL`` signals an inconsistent belief table; one in
-    ``[-MASS_TOL, 0)`` is dropped, so no later class subtracts it.  With
-    ``exhaustive=True``, a float mass in ``(0, MASS_TOL]`` left on TOP is
-    rounding, not mass, and is dropped too.  On a
-    table with no negative Möbius mass the two sweeps agree, so the data,
-    not an option, picks the sweep.
+    an error, and so are unequal beliefs on two members of one class; equal
+    ones are read as one.  Exact numerators run the Möbius sweep of
+    :func:`_mobius`; if no recovered mass is negative, those are the
+    masses.  Otherwise, and always for a float table, the peeling sweep
+    runs: over the classes in ascending key order, a linear extension of
+    the order, it peels off the mass already recovered strictly below each
+    class.  A recovered mass below ``-MASS_TOL`` signals an inconsistent
+    belief table; one in ``[-MASS_TOL, 0)`` is dropped, so no later class
+    subtracts it.  With ``exhaustive=True``, a float mass in
+    ``(0, MASS_TOL]`` left on TOP is rounding, not mass, and is dropped
+    too.  On a table with no negative Möbius mass the two sweeps agree, so
+    the data, not an option, picks the sweep.
 
     A table that :func:`bel_table` built over this very ``algebra`` object,
     unchanged since, hands over its integer sums directly, divided by their
@@ -344,7 +350,19 @@ def bba_from_bel(
         exact = True
     else:
         key = algebra.key
-        values = {key(p): v for p, v in bel_values.items()}
+        values = {}
+        for p, v in bel_values.items():
+            k = key(p)
+            w = values.get(k, v)
+            if w is not v and w != v:
+                if not (_non_finite(w) or _non_finite(v)):
+                    raise BbaError(
+                        f"congruent members of {_name(algebra, k)} carry unequal "
+                        f"beliefs {w} and {v}"
+                    )
+                if _non_finite(w):
+                    continue  # kept for the check below, which names it
+            values[k] = v
         missing = [rep for k, rep in algebra.rep_by_key.items() if k not in values]
         if missing:
             more = f" (and {len(missing) - 1} more)" if len(missing) > 1 else ""
@@ -352,8 +370,7 @@ def bba_from_bel(
         nums, den, exact = _numerators([values[k] for k in ordered])
         if not exact:
             for K, v in zip(ordered, nums):
-                # NaN fails every comparison, so the sweep would drop it
-                if v != v or abs(v) == math.inf:
+                if _non_finite(v):
                     raise BbaError(f"non-finite belief {v} at {_name(algebra, K)}")
     if exact:
         mass = _mobius(nums, pairs)

@@ -82,8 +82,9 @@ def read_block(path) -> tuple[int, list[list[float]]]:
     writer gives every row of the block the same tail, so each row is first
     tried against the last tail met.  Reading stops at the first malformed
     row, and non-finite coefficients are rejected once every row has been
-    read.  Malformed text, including bytes that do not decode, raises
-    ValueError whose text starts with ``f"{path}: "``.
+    read.  Blank lines may follow the last row, and nothing else.
+    Malformed text, including bytes that do not decode, raises ValueError
+    whose text starts with ``f"{path}: "``.
     """
     try:
         with open(path) as fh:
@@ -114,6 +115,8 @@ def read_block(path) -> tuple[int, list[list[float]]]:
                 while values and values[-1] == 0 and math.copysign(1, values[-1]) > 0:
                     values.pop()
                 heads.append(values)
+            if any(not line.isspace() for line in fh):
+                raise ValueError(f"text after row {n + 1}")
         used_rows = max((k + 1 for k, v in enumerate(heads) if v), default=0)
         size = max(used_rows, max(map(len, heads)), 1)
         rows = [v + [0.0] * (size - len(v)) for v in heads[:size]]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from functools import cached_property, lru_cache
-from operator import attrgetter
+from operator import attrgetter, is_
 from typing import Iterable, Sequence
 
 
@@ -271,6 +271,23 @@ def prop_key(p: Proposition) -> tuple[tuple[int, ...], ...]:
     return key
 
 
+class _Listing(list):
+    """The listing :func:`enumerate_hyperpower` returns, an ordinary ``list``.
+
+    Next to it sit the members as listed, which tell whether the list still
+    is what the walk built.  A copy, deep copy or pickle is a plain ``list``.
+    """
+
+    __slots__ = ("_members",)
+
+    def __reduce__(self):
+        return list, (list(self),)
+
+    def _unchanged(self) -> bool:
+        """True while this holds exactly the members listed, in that order."""
+        return len(self) == len(self._members) and all(map(is_, self, self._members))
+
+
 DEFAULT_ATOM_GUARD = 4
 
 
@@ -287,13 +304,22 @@ def enumerate_hyperpower(n: int, max_atoms: int = DEFAULT_ATOM_GUARD) -> list[Pr
     The count is the n-th Dedekind number (3, 6, 20, 168 for n = 1..4),
     which grows too fast for n > 5; ``max_atoms`` guards against runaway
     sizes.
+
+    The walk visits every antichain once, so the listing is complete and
+    in :func:`prop_key` order by construction, which
+    ``tests/test_hyperpower_oracle.py`` checks against an independent
+    enumeration.  It is returned as a ``list`` that also holds the members
+    it listed, and :class:`Quotient` takes it without checking or sorting
+    it again while it still holds exactly those objects in that order.  A
+    copy, slice or pickle is a plain ``list``, and an edited listing is
+    checked as any other universe is.
     """
     if n < 1:
         raise ValueError("need at least one atom")
     if n > max_atoms:
         raise ValueError(f"n={n} exceeds the enumeration guard ({max_atoms})")
     up, atom_tuples, later = _clause_walk(n)
-    listing = []
+    listing = _Listing()
     # Each entry is a node's table, key and the positions it may still add.
     # A node's children are pushed last first, so they are popped in order.
     stack = [(0, (), (1 << len(up)) - 1)]
@@ -307,6 +333,7 @@ def enumerate_hyperpower(n: int, max_atoms: int = DEFAULT_ATOM_GUARD) -> list[Pr
             j = rest.bit_length() - 1
             rest ^= 1 << j
             stack.append((table | up[j], key + (atom_tuples[j],), free & later[j]))
+    listing._members = tuple(listing)
     return listing
 
 
@@ -361,26 +388,20 @@ class Quotient:
     order.  Every up-set is BOTTOM or ``t | up[c]`` for a smaller up-set t
     and an atom set c, so a family of up-sets is all of them exactly when it
     holds BOTTOM and every ``t | up[c]`` of its members: O(|U|·2^n) work,
-    and a rejection names the smallest up-set the universe lacks.
+    and a rejection names the smallest up-set the universe lacks.  The
+    universe is then sorted by :func:`prop_key`.  A listing from
+    :func:`enumerate_hyperpower` that still holds exactly the members it
+    listed, in that order, is complete and sorted by construction, so it is
+    only copied: O(|U|) identity tests instead of the check and the sort.
     """
 
     def __init__(self, universe: Sequence[Proposition], gamma: ConstraintSet) -> None:
-        self.universe = sorted(universe, key=prop_key)
-        if not self.universe:
-            raise ValueError("universe is empty")
-        n = self.universe[0].n
-        if any(p.n != n for p in self.universe):
-            raise ValueError("universe mixes atom universes")
-        tables = {p.table for p in self.universe}
-        if len(tables) != len(self.universe):
-            raise ValueError("universe contains duplicate propositions")
-        up = _up_sets(n)
-        outside = ({0} | {t | u for t in tables for u in up}) - tables
-        if outside:
-            p = Proposition(n, min(outside))
-            raise ValueError(
-                f"proposition {format_proposition(p)} is outside the universe"
-            )
+        if isinstance(universe, _Listing) and universe._unchanged():
+            self.universe = list(universe)
+            n = self.universe[0].n
+        else:
+            self.universe = sorted(universe, key=prop_key)
+            n = _check_universe(self.universe)
 
         self._n = n
         self._keep = ~congruence_mask(gamma)
@@ -410,6 +431,25 @@ class Quotient:
     def class_of(self, p: Proposition) -> Proposition:
         """Representative of p's congruence class."""
         return self.rep_by_key[self.key(p)]
+
+
+def _check_universe(universe: list[Proposition]) -> int:
+    """The atom count of a universe that holds every proposition over it
+    exactly once; ValueError otherwise."""
+    if not universe:
+        raise ValueError("universe is empty")
+    n = universe[0].n
+    if any(p.n != n for p in universe):
+        raise ValueError("universe mixes atom universes")
+    tables = {p.table for p in universe}
+    if len(tables) != len(universe):
+        raise ValueError("universe contains duplicate propositions")
+    up = _up_sets(n)
+    outside = ({0} | {t | u for t in tables for u in up}) - tables
+    if outside:
+        p = Proposition(n, min(outside))
+        raise ValueError(f"proposition {format_proposition(p)} is outside the universe")
+    return n
 
 
 def quotient(universe: Sequence[Proposition], gamma: ConstraintSet) -> Quotient:

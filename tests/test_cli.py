@@ -226,6 +226,16 @@ def test_atom_guard_is_a_usage_error(capsys):
     )
 
 
+def test_atom_guard_is_checked_before_the_constraints_are_parsed(tmp_path, capsys):
+    # Parsing at n = 7 would first build the up-set tables of 2^7 atom sets.
+    path = tmp_path / "gamma.txt"
+    path.write_text("a0 = \n")
+    code, out, err = run(capsys, "hyperpower", "-n", "7", "-c", str(path))
+    assert (code, out, err) == (
+        cli.EXIT_USAGE, "", "error: n=7 exceeds the enumeration guard (4)\n"
+    )
+
+
 def test_belief_endpoint_off_the_square_is_a_usage_error(tmp_path, capsys):
     # The interval is built before the file is read, so a missing file does
     # not hide a bad endpoint.
@@ -432,6 +442,28 @@ def test_belief_command_stops_at_first_bad_row(tmp_path, capsys, text, message):
     assert code == cli.EXIT_PARSE
     assert out == ""
     assert err.startswith(f"error: {path}: {message}")
+
+
+@pytest.mark.parametrize("tail", ["concatenated", "garbage"])
+def test_text_after_the_last_row_is_rejected(tmp_path, capsys, tail):
+    one, two = tmp_path / "one.cheb", tmp_path / "two.cheb"
+    cf.save_coeffs(cf.normalize(cf.fit(cf.gaussian(0, 1), 16)), one)
+    cf.save_coeffs(cf.normalize(cf.fit(cf.gaussian(0.3, 0.5), 16)), two)
+    path = tmp_path / "both.cheb"
+    path.write_text(one.read_text() + (two.read_text() if tail == "concatenated" else "\n x\n"))
+    for argv in (["belief", str(path), "--", "-0.2", "0.7"],
+                 ["fuse", str(path), str(two), "--out", str(tmp_path / "f.cheb")]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (cli.EXIT_PARSE, "", f"error: {path}: text after row 17\n")
+
+
+def test_blank_lines_after_the_last_row_are_accepted(tmp_path, capsys):
+    path = tmp_path / "d.cheb"
+    cf.save_coeffs(cf.normalize(cf.fit(cf.gaussian(0, 1), 16)), path)
+    code, out, _ = run(capsys, "belief", str(path), "--", "-0.2", "0.7")
+    path.write_text(path.read_text() + "\n  \n\t\n")
+    assert run(capsys, "belief", str(path), "--", "-0.2", "0.7") == (code, out, "")
+    assert code == 0
 
 
 def test_fuse_command_names_the_bad_file(tmp_path, capsys):

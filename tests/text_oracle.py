@@ -2,7 +2,8 @@
 
 They format and parse one numpy scalar at a time.  The list-based versions
 that replaced them must write the same bytes and read the same arrays, with
-the same error messages.  ``load_grid`` reads a ``save_grid`` file back, for
+the same error messages.  The reader has since gained one rule, which
+``load_coeffs`` here follows too: only blank lines may follow the last row.  ``load_grid`` reads a ``save_grid`` file back, for
 the tests' round trips; the package itself never reads grid files.
 """
 
@@ -31,6 +32,8 @@ def load_coeffs(path) -> cf.ChebDensity:
                 raise ValueError(
                     f"{path}: row {k} holds {len(rows[-1])} coefficients, expected {n + 1}"
                 )
+        if fh.read().strip():
+            raise ValueError(f"{path}: text after row {n + 1}")
     coeffs = np.array(rows)
     try:
         return cf.ChebDensity(coeffs)
