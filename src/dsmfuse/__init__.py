@@ -11,9 +11,11 @@ import importlib
 
 __all__ = ["belief", "chebfusion", "ordered", "prebool"]
 __version__ = "0.1.0"
+# What __getattr__ imports: the star import's names, the reader and the CLI.
+_SUBMODULES = (*__all__, "chebseries", "cli")
 
 
 def __getattr__(name: str):
-    if name in __all__:
+    if name in _SUBMODULES:
         return importlib.import_module(f".{name}", __name__)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

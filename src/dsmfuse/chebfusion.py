@@ -227,12 +227,8 @@ def evaluate(d: ChebDensity, x, y):
 
 
 def _cheb_weights(n: int) -> np.ndarray:
-    # integral of T_k over [-1, 1]: 2 / (1 - k^2) for even k, 0 for odd k.
-    k = np.arange(n + 1)
-    w = np.zeros(n + 1)
-    even = k % 2 == 0
-    w[even] = 2.0 / (1.0 - k[even] ** 2)
-    return w
+    # the integrals of T_0 .. T_n over [-1, 1]
+    return np.array(_series.weights(n + 1))
 
 
 def integral_full(d: ChebDensity) -> float:

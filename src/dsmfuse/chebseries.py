@@ -12,10 +12,11 @@ F_k = T_{k+1} / (2(k+1)) - T_{k-1} / (2(k-1)) for k >= 2 (Mason &
 Handscomb, *Chebyshev Polynomials*, 2003, section 2.4).  Only the leading
 block of coefficients enters the form, and no belief surface is built.
 
-This module loads nothing heavier than :mod:`math` and :mod:`operator`, so
-the ``belief`` subcommand runs without numpy; :mod:`dsmfuse.chebfusion`
-reads its files and takes its belief basis from here too.  The generalized
-interval lives here for the same reason.
+This module loads nothing heavier than :mod:`math`, :mod:`operator` and the
+value records of :mod:`dsmfuse._values`, so the ``belief`` subcommand runs
+without numpy; :mod:`dsmfuse.chebfusion` reads its files and takes its
+belief basis and Chebyshev weights from here too.  The generalized interval
+lives here for the same reason.
 """
 
 from __future__ import annotations
@@ -23,39 +24,24 @@ from __future__ import annotations
 import math
 from operator import mul, sub
 
+from ._values import Frozen
+
 NORMALIZATION_TOL = 1e-6
 
 
-class GeneralizedInterval:
+class GeneralizedInterval(Frozen):
     """Interval description (lo, hi) with hi < lo allowed (contradiction).
 
     A frozen value, as ``prebool.Proposition`` is: equal to an interval with
     the same endpoints, hashed by them, and refusing assignment and deletion.
-    It does not share ``prebool``'s base class, so that the spectral
-    subcommands load nothing of the finite engine.
     """
+
+    _fields = ("lo", "hi")
 
     def __init__(self, lo: float, hi: float) -> None:
         if not (-1 <= lo <= 1 and -1 <= hi <= 1):
             raise ValueError("interval endpoints must lie in [-1, 1]")
         self.__dict__.update(lo=lo, hi=hi)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.lo, self.hi) == (other.lo, other.hi)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.lo, self.hi))
-
-    def __repr__(self) -> str:
-        return f"{self.__class__.__qualname__}(lo={self.lo!r}, hi={self.hi!r})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def interval_meet(a: GeneralizedInterval, b: GeneralizedInterval) -> GeneralizedInterval:
@@ -178,6 +164,14 @@ def belief(rows: list[list[float]], iv: GeneralizedInterval) -> float:
     return sum(map(mul, a, [sum(map(mul, row, b)) for row in rows]))
 
 
+def weights(size: int) -> list[float]:
+    """w_0 .. w_{size-1}, w_k the integral of T_k over [-1, 1].
+
+    That is 2 / (1 - k^2) for even k and 0 for odd k.
+    """
+    return [2.0 / (1.0 - k * k) if k % 2 == 0 else 0.0 for k in range(size)]
+
+
 def integral(rows: list[list[float]]) -> float:
     """wᵀCw, the integral over [-1, 1]^2, with w_k the integral of T_k.
 
@@ -185,7 +179,7 @@ def integral(rows: list[list[float]]) -> float:
     whose column sums overflow, that order gives nan where the rows first
     can give a finite value.
     """
-    w = [2.0 / (1.0 - k * k) if k % 2 == 0 else 0.0 for k in range(len(rows))]
+    w = weights(len(rows))
     return sum(map(mul, [sum(map(mul, w, column)) for column in zip(*rows)], w))
 
 

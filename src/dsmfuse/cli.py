@@ -30,10 +30,11 @@ Imports: this module loads argparse and no engine, and each ``cmd_*`` and
 argument builder imports its engine when it runs.  ``hyperpower`` loads
 :mod:`dsmfuse.prebool` alone, ``ordered`` loads it and :mod:`dsmfuse.ordered`,
 ``fuse`` and ``fuse-demo`` load :mod:`dsmfuse.chebfusion`, and ``belief``
-:mod:`dsmfuse.chebseries` alone; none loads the finite engine.  A write to stdout that fails, help text
-included, into a closed pipe or a full disk, ends in one error line and
-exit 1; stdout then points at the null device, so the interpreter's last
-flush prints nothing either.  These notes, like the one on dispatch, are
+:mod:`dsmfuse.chebseries` alone; none loads the finite engine.  Each of them
+also loads :mod:`dsmfuse._values`, the value records both engines build on.
+A write to stdout that fails, help text included, into a closed pipe or a
+full disk, ends in one error line and exit 1; stdout then points at the
+null device, so the interpreter's last flush prints nothing either.  These notes, like the one on dispatch, are
 not part of ``-h``.
 """
 

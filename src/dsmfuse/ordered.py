@@ -28,6 +28,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from . import prebool
+from ._values import Frozen, Record
 from .prebool import ConstraintSet, Proposition, varphi
 
 
@@ -42,7 +43,7 @@ def _triangle(n: int) -> int:
     return sum(1 << _interval(i, j) for j in range(n) for i in range(j + 1))
 
 
-class Staircase(prebool._Frozen):
+class Staircase(Frozen):
     """Non-empty increasing subset of {(i, j): i <= j} over n atoms.
 
     Bit {i..j} of ``table``, indexed as in ``Proposition.table``, is set iff
@@ -106,7 +107,7 @@ def enumerate_staircases(n: int) -> list[Staircase]:
     return [Staircase(n, t) for t in prebool.upsets(n, _triangle(n)) if t]
 
 
-class IsomorphismReport(prebool._Record):
+class IsomorphismReport(Record):
     """What :func:`verify_isomorphism` found; ``ok`` when it found no problem."""
 
     _fields = ("n", "class_count", "staircase_count", "counterexamples")

@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import re
 from functools import cached_property, lru_cache
-from operator import attrgetter, is_
-from typing import Iterable, Sequence
+from operator import is_
+from typing import Iterable, Iterator, Sequence
+
+from ._values import Frozen
 
 
 def _require_atom_count(n: int) -> None:
@@ -103,50 +105,7 @@ def _clause_walk(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], 
     return (tuple(up[c] for c in order), tuple(atom_tuples[c] for c in order), tuple(later))
 
 
-class _Record:
-    """A value made of the fields that ``_fields`` names, in that order.
-
-    Two records are equal when they are of one class with equal fields, and
-    ``repr`` shows the fields by name, as ``@dataclass`` does; a record is
-    unhashable.  A subclass's ``__init__`` sets the fields.  Instances keep
-    their state in ``__dict__``, so copy and pickle need nothing more.
-    """
-
-    _fields: tuple[str, ...] = ()
-
-    def __init_subclass__(cls) -> None:
-        if cls._fields:  # _Frozen names none
-            # The field tuple; attrgetter of one name returns the bare value.
-            get = attrgetter(*cls._fields)
-            cls._values = staticmethod(get if len(cls._fields) > 1 else lambda r: (get(r),))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values(self) == other._values(other)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{self.__class__.__qualname__}({fields})"
-
-
-class _Frozen(_Record):
-    """A record whose fields are set once, in ``__init__`` through ``__dict__``.
-
-    It is hashed by its field tuple, and assignment and deletion are refused.
-    """
-
-    def __hash__(self) -> int:
-        return hash(self._values(self))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
-class Proposition(_Frozen):
+class Proposition(Frozen):
     """The truth table of a proposition over a fixed atom universe of size n.
 
     Bit S of ``table`` is set iff the atom set S contains a clause; the table
@@ -173,8 +132,17 @@ class Proposition(_Frozen):
     @cached_property
     def clauses(self) -> frozenset[int]:
         """The clause antichain: the inclusion-minimal set bits of ``table``."""
-        minimal = self.table & ~grow(self.n, self.table)
-        return frozenset(c for c in range(1 << self.n) if minimal >> c & 1)
+        return frozenset(_clause_bits(self.n, self.table))
+
+
+def _clause_bits(n: int, table: int) -> Iterator[int]:
+    # The set bits of table & ~grow(table), lowest first: only the clauses
+    # are visited, not all 2^n atom sets.
+    minimal = table & ~grow(n, table)
+    while minimal:
+        low = minimal & -minimal
+        yield low.bit_length() - 1
+        minimal ^= low
 
 
 def make_prop(n: int, masks: Iterable[int]) -> Proposition:
@@ -250,24 +218,15 @@ def prop_key(p: Proposition) -> tuple[tuple[int, ...], ...]:
 
     The key is kept in the instance's ``__dict__``, where ``cached_property``
     keeps ``clauses``.  :func:`enumerate_hyperpower` stores it on every
-    element it lists, so sorting, quotients and :func:`format_proposition`
-    read it there.  Any other instance computes it on first use: its clauses
-    are the set bits of ``table & ~grow(table)``, read lowest bit first, so
-    only the clauses are visited, not all 2^n atom sets.  A
+    element it lists, and :func:`format_proposition` reads it there.  Any
+    other instance computes it on first use, from its clauses alone.  A
     ``cached_property`` here would also take a lock on each first read.
     """
     cache = p.__dict__
     key = cache.get("_prop_key")
     if key is None:
         atom_tuples = _atom_tuples(p.n)
-        minimal = p.table & ~grow(p.n, p.table)
-        clauses = []
-        while minimal:
-            low = minimal & -minimal
-            clauses.append(atom_tuples[low.bit_length() - 1])
-            minimal ^= low
-        clauses.sort()
-        key = cache["_prop_key"] = tuple(clauses)
+        key = cache["_prop_key"] = tuple(sorted(atom_tuples[c] for c in _clause_bits(p.n, p.table)))
     return key
 
 
@@ -309,15 +268,21 @@ def enumerate_hyperpower(n: int, max_atoms: int = DEFAULT_ATOM_GUARD) -> list[Pr
     in :func:`prop_key` order by construction, which
     ``tests/test_hyperpower_oracle.py`` checks against an independent
     enumeration.  It is returned as a ``list`` that also holds the members
-    it listed, and :class:`Quotient` takes it without checking or sorting
-    it again while it still holds exactly those objects in that order.  A
-    copy, slice or pickle is a plain ``list``, and an edited listing is
-    checked as any other universe is.
+    it listed, and :class:`Quotient` takes it without checking it again
+    while it still holds exactly those objects in that order.  A copy,
+    slice or pickle is a plain ``list``, and an edited listing is checked
+    as any other universe is.
     """
     if n < 1:
         raise ValueError("need at least one atom")
     if n > max_atoms:
         raise ValueError(f"n={n} exceeds the enumeration guard ({max_atoms})")
+    return _walk(n)
+
+
+def _walk(n: int) -> _Listing:
+    # enumerate_hyperpower's listing with no guard on n: Quotient also walks
+    # a checked universe over 0 atoms.
     up, atom_tuples, later = _clause_walk(n)
     listing = _Listing()
     # Each entry is a node's table, key and the positions it may still add.
@@ -337,7 +302,7 @@ def enumerate_hyperpower(n: int, max_atoms: int = DEFAULT_ATOM_GUARD) -> list[Pr
     return listing
 
 
-class ConstraintSet(_Frozen):
+class ConstraintSet(Frozen):
     """Pairs of propositions declared equal."""
 
     _fields = ("pairs",)
@@ -388,22 +353,22 @@ class Quotient:
     order.  Every up-set is BOTTOM or ``t | up[c]`` for a smaller up-set t
     and an atom set c, so a family of up-sets is all of them exactly when it
     holds BOTTOM and every ``t | up[c]`` of its members: O(|U|·2^n) work,
-    and a rejection names the smallest up-set the universe lacks.  The
-    universe is then sorted by :func:`prop_key`.  A listing from
+    and a rejection names the smallest up-set the universe lacks.  Once that
+    check has passed the universe is complete, and the walk of
+    :func:`enumerate_hyperpower` supplies its members in :func:`prop_key`
+    order.  A universe with a table wider than 2^n bits, checked first, or
+    with more tables than the walk lists holds a table that is not an
+    up-set, and is rejected.  A listing from
     :func:`enumerate_hyperpower` that still holds exactly the members it
-    listed, in that order, is complete and sorted by construction, so it is
-    only copied: O(|U|) identity tests instead of the check and the sort.
+    listed, in that order, is complete and ordered by construction, so it is
+    only copied: O(|U|) identity tests instead of the check and the walk.
     """
 
     def __init__(self, universe: Sequence[Proposition], gamma: ConstraintSet) -> None:
-        if isinstance(universe, _Listing) and universe._unchanged():
-            self.universe = list(universe)
-            n = self.universe[0].n
-        else:
-            self.universe = sorted(universe, key=prop_key)
-            n = _check_universe(self.universe)
-
-        self._n = n
+        if not (isinstance(universe, _Listing) and universe._unchanged()):
+            universe = _check_universe(list(universe))
+        self.universe = list(universe)
+        self._n = n = self.universe[0].n
         self._keep = ~congruence_mask(gamma)
         # key() rejects constraint elements over another atom count.
         for pair in gamma.pairs:
@@ -433,9 +398,9 @@ class Quotient:
         return self.rep_by_key[self.key(p)]
 
 
-def _check_universe(universe: list[Proposition]) -> int:
-    """The atom count of a universe that holds every proposition over it
-    exactly once; ValueError otherwise."""
+def _check_universe(universe: list[Proposition]) -> _Listing:
+    """The walk's listing of a universe that holds every proposition over
+    its atom count exactly once; ValueError otherwise."""
     if not universe:
         raise ValueError("universe is empty")
     n = universe[0].n
@@ -445,11 +410,17 @@ def _check_universe(universe: list[Proposition]) -> int:
     if len(tables) != len(universe):
         raise ValueError("universe contains duplicate propositions")
     up = _up_sets(n)
+    if max(tables) >> (1 << n):  # a bit past the last atom set
+        raise ValueError("universe holds a table that is not an up-set of atom sets")
     outside = ({0} | {t | u for t in tables for u in up}) - tables
     if outside:
         p = Proposition(n, min(outside))
         raise ValueError(f"proposition {format_proposition(p)} is outside the universe")
-    return n
+    # Every up-set is a member now, so only a table that is not one is unlisted.
+    listing = _walk(n)
+    if len(listing) < len(tables):
+        raise ValueError("universe holds a table that is not an up-set of atom sets")
+    return listing
 
 
 def quotient(universe: Sequence[Proposition], gamma: ConstraintSet) -> Quotient:

@@ -1,7 +1,8 @@
 """Every name a ``src/dsmfuse`` module imports, and every private name it
-defines at module level, is used in that module; every error text it raises
-is asserted somewhere under ``tests/``; and every ``tests/*_oracle.py``
-module is imported by some ``tests/test_*.py``."""
+defines at module level, is used in that module; no module reads another's
+private names; every error text it raises is asserted somewhere under
+``tests/``; and every ``tests/*_oracle.py`` module is imported by some
+``tests/test_*.py``."""
 
 import ast
 from pathlib import Path
@@ -33,6 +34,10 @@ def test_every_import_is_used(path):
     assert not unused, f"{path.name} imports {unused} without using them"
 
 
+def is_private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
 def private_names(tree):
     # single-underscore names bound by the module's top-level statements
     for node in tree.body:
@@ -43,7 +48,7 @@ def private_names(tree):
             names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
         else:
             continue
-        yield from (name for name in names if name.startswith("_") and not name.startswith("__"))
+        yield from filter(is_private, names)
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -55,6 +60,32 @@ def test_every_private_name_is_used(path):
     }
     unused = sorted(set(private_names(tree)) - loaded)
     assert not unused, f"{path.name} defines {unused} without using them"
+
+
+def foreign_private_reads(tree):
+    # single-underscore names read from another dsmfuse module: imported by
+    # name, or read as an attribute of a name bound to the module
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    modules = {
+        alias.asname or alias.name for node in imports for alias in node.names
+        if (node.level, node.module) in ((1, None), (0, "dsmfuse"))
+    }
+    for node in imports:
+        if node.module and (node.level or node.module.startswith("dsmfuse.")):
+            for alias in node.names:
+                if is_private(alias.name):
+                    yield node.lineno, f"{node.module}.{alias.name}"
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and is_private(node.attr)):
+            yield node.lineno, f"{node.value.id}.{node.attr}"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_reads_another_modules_private_names(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    reads = sorted(set(foreign_private_reads(tree)))
+    assert not reads, f"{path.name} reads private names of other modules: {reads}"
 
 
 def error_texts(tree):

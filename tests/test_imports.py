@@ -82,7 +82,8 @@ def test_belief_subcommand_loads_neither_numpy_nor_chebfusion(tmp_path):
     loaded, out = modules_after(cli_code(["belief", str(path), "--", "-0.5", "0.5"]))
     assert out.splitlines() == ["0.5625", "exit 0"]
     assert not {m.split(".")[0] for m in loaded} & {"numpy", "scipy"}
-    assert {m for m in loaded if m.startswith("dsmfuse.")} == {"dsmfuse.cli", "dsmfuse.chebseries"}
+    assert {m for m in loaded if m.startswith("dsmfuse.")} == {
+        "dsmfuse.cli", "dsmfuse.chebseries", "dsmfuse._values"}
 
 
 def test_fuse_subcommands_load_numpy_only(tmp_path):
@@ -111,6 +112,15 @@ def test_submodules_resolve_on_first_access():
     assert loaded == {"numpy"}
 
 
+def test_reader_and_cli_resolve_on_first_access():
+    loaded, out = modules_after(
+        "import dsmfuse\n"
+        "print(dsmfuse.chebseries.belief.__name__, dsmfuse.cli.main.__name__)\n"
+    )
+    assert out == "belief main"
+    assert not {m.split(".")[0] for m in loaded} & {"numpy", "scipy"}
+
+
 def test_star_import_loads_every_submodule():
     _loaded, out = heavy_modules_after(
         "from dsmfuse import *\nprint(sorted(n for n in dir() if not n.startswith('_')))"
@@ -128,13 +138,13 @@ def test_hyperpower_loads_prebool_alone(tmp_path):
     for argv in (["hyperpower", "-n", "3"], ["hyperpower", "-n", "3", "-c", str(pair)]):
         loaded, out = engine_modules_after(cli_code(argv))
         assert out.splitlines()[-1] == "exit 0", argv
-        assert loaded == {"dsmfuse.cli", "dsmfuse.prebool"}, argv
+        assert loaded == {"dsmfuse.cli", "dsmfuse.prebool", "dsmfuse._values"}, argv
 
 
 def test_ordered_loads_the_finite_engine_it_runs():
     loaded, out = engine_modules_after(cli_code(["ordered", "-n", "3"]))
     assert out.splitlines()[-1] == "exit 0"
-    assert loaded == {"dsmfuse.cli", "dsmfuse.prebool", "dsmfuse.ordered"}
+    assert loaded == {"dsmfuse.cli", "dsmfuse.prebool", "dsmfuse.ordered", "dsmfuse._values"}
 
 
 def test_spectral_subcommands_load_no_finite_engine(tmp_path):
@@ -153,4 +163,4 @@ def test_spectral_subcommands_load_no_finite_engine(tmp_path):
 def test_star_import_loads_no_dataclasses():
     loaded, _out = engine_modules_after("from dsmfuse import *")
     assert loaded == {"dsmfuse.belief", "dsmfuse.chebfusion", "dsmfuse.chebseries",
-                      "dsmfuse.ordered", "dsmfuse.prebool"}
+                      "dsmfuse.ordered", "dsmfuse.prebool", "dsmfuse._values"}

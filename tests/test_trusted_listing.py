@@ -2,11 +2,11 @@
 
 The walk's listing is complete and in ``prop_key`` order by construction
 (``test_hyperpower_oracle.py``), so ``Quotient`` takes it without checking
-or sorting it while it still holds exactly the members listed, in that
-order.  The quotient must then equal the one built on a plain copy of the
-listing.  Any other universe, an edited listing, a copy or a pickle among
-them, must be checked and sorted as a plain list is: the same result or
-the same error, after the same number of ``prop_key`` calls.
+it while it still holds exactly the members listed, in that order.  The
+quotient must then equal the one built on a plain copy of the listing.  Any
+other universe, an edited listing, a copy or a pickle among them, must be
+checked as a plain list is: the same result or the same error, after one
+universe check.
 """
 
 import copy
@@ -36,15 +36,15 @@ def fields(q):
 
 
 @pytest.fixture
-def prop_key_calls(monkeypatch):
+def check_calls(monkeypatch):
     calls = []
-    key = pb.prop_key
+    check = pb._check_universe
 
-    def counting(p):
-        calls.append(p)
-        return key(p)
+    def counting(universe):
+        calls.append(universe)
+        return check(universe)
 
-    monkeypatch.setattr(pb, "prop_key", counting)
+    monkeypatch.setattr(pb, "_check_universe", counting)
     return calls
 
 
@@ -55,10 +55,10 @@ def test_listing_quotient_equals_plain_list_quotient(n, gamma):
 
 
 @pytest.mark.parametrize("n", [1, 4, 5])
-def test_unchanged_listing_is_neither_checked_nor_sorted(n, prop_key_calls):
+def test_unchanged_listing_is_neither_checked_nor_sorted(n, check_calls):
     universe = listing(n)
     q = pb.Quotient(universe, od.order_constraints(n))
-    assert prop_key_calls == []
+    assert check_calls == []
     # The quotient owns a plain copy of the listing.
     assert type(q.universe) is list and q.universe is not universe
     assert q.universe == universe
@@ -67,7 +67,7 @@ def test_unchanged_listing_is_neither_checked_nor_sorted(n, prop_key_calls):
 
 
 def outcome(universe, gamma, calls):
-    """The quotient's fields, or the error's text; and the prop_key calls."""
+    """The quotient's fields, or the error's text; and the universe checks."""
     del calls[:]
     try:
         result = fields(pb.quotient(universe, gamma))
@@ -101,14 +101,14 @@ EDITS = {
 
 
 @pytest.mark.parametrize("edit, error", EDITS.values(), ids=EDITS.keys())
-def test_edited_listing_is_checked_as_a_plain_list(edit, error, prop_key_calls):
+def test_edited_listing_is_checked_as_a_plain_list(edit, error, check_calls):
     gamma = od.order_constraints(4)
     edited, plain = listing(4), list(listing(4))
     edit(edited)
     edit(plain)
-    assert outcome(edited, gamma, prop_key_calls) == outcome(plain, gamma, prop_key_calls)
-    result, calls = outcome(edited, gamma, prop_key_calls)
-    assert calls >= len(edited)  # the sort's
+    assert outcome(edited, gamma, check_calls) == outcome(plain, gamma, check_calls)
+    result, calls = outcome(edited, gamma, check_calls)
+    assert calls == 1
     if error is None:
         assert result == fields(pb.quotient(listing(4), gamma))
     else:
@@ -124,10 +124,10 @@ COPIES = {
 
 
 @pytest.mark.parametrize("make", COPIES.values(), ids=COPIES.keys())
-def test_a_copy_is_a_plain_list(make, prop_key_calls):
+def test_a_copy_is_a_plain_list(make, check_calls):
     gamma = od.order_constraints(4)
     copied = make(listing(4))
     assert type(copied) is list
-    result, calls = outcome(copied, gamma, prop_key_calls)
-    assert calls == len(copied)
-    assert result == outcome(list(listing(4)), gamma, prop_key_calls)[0]
+    result, calls = outcome(copied, gamma, check_calls)
+    assert calls == 1
+    assert result == outcome(list(listing(4)), gamma, check_calls)[0]
