@@ -10,8 +10,9 @@ likewise stores a function as its chopped coefficients).  Belief is a corner
 cumulative integral of the density, and conjunctive fusion is a four-term
 combination of partial cumulatives.  A point belief is a bilinear form in
 the leading block, so it needs no belief surface; that form, the ``.cheb``
-reader and :class:`GeneralizedInterval` live in :mod:`dsmfuse.chebseries`,
-which loads no numpy, so the ``belief`` subcommand runs without numpy.
+reader and writer and :class:`GeneralizedInterval` live in
+:mod:`dsmfuse.chebseries`, which loads no numpy, so the ``belief``
+subcommand runs without numpy.
 
 Fitting and fusion work at the degree the data resolves.  :func:`chop` finds
 where a series' coefficients reach their round-off plateau (Aurentz &
@@ -25,9 +26,8 @@ of its inputs up to the larger of the two chopped degrees, k, pointwise on a
 Lobatto grid.  That grid is the smallest fast one on which the products'
 high modes cannot alias into the min(n, 2k+1) kept ones (Orszag's 3/2 rule;
 at k = n it is about 3/2 times the input degree n).  The result has degree
-n.  Only ``ChebDensity.coeffs`` and the ``.cheb`` writer pad a block with
-zeros to its degree.  A series whose coefficients do not decay to a
-plateau is not cut.
+n.  Only ``ChebDensity.coeffs`` pads a block with zeros to its degree.  A
+series whose coefficients do not decay to a plateau is not cut.
 
 The cosine transforms are real FFTs of the mirrored samples, as in Chebfun,
 so the module needs numpy alone.
@@ -44,9 +44,8 @@ from numpy.polynomial import chebyshev as C
 from . import chebseries as _series
 from .chebseries import GeneralizedInterval
 
-# the interval algebra and the normalization check live in chebseries
+# the interval algebra lives in chebseries
 interval_meet = _series.interval_meet
-NORMALIZATION_TOL = _series.NORMALIZATION_TOL
 
 _EPS = np.finfo(float).eps
 
@@ -450,24 +449,19 @@ def gaussian(cx: float, cy: float) -> Callable[[np.ndarray, np.ndarray], np.ndar
 
 
 def save_coeffs(d: ChebDensity, path) -> None:
-    """Header ``cheb2d N`` then N+1 rows of N+1 coefficients.
+    """Write ``d`` as a ``.cheb`` file through :func:`dsmfuse.chebseries.write_block`.
 
-    The block's rows are written first, each followed by its zero tail, and
-    then the all-zero rows; the tail and the zero row are formatted once.
+    :mod:`dsmfuse.chebseries` defines the format.
     """
-    n, size = d.degree + 1, d._block.shape[0]
-    tail = " 0.0" * (n - size) + "\n"
-    with open(path, "w") as fh:
-        fh.write(f"cheb2d {d.degree}\n")
-        fh.writelines(" ".join(map(repr, row)) + tail for row in d._block.tolist())
-        fh.write(_series.zero_row_text(d.degree) * (n - size))
+    _series.write_block(path, d.degree, d._block.tolist())
 
 
 def load_coeffs(path) -> ChebDensity:
-    """Read a :func:`save_coeffs` file through :func:`dsmfuse.chebseries.read_block`.
+    """Read a ``.cheb`` file through :func:`dsmfuse.chebseries.read_block`.
 
-    Malformed text, including bytes that do not decode, raises ValueError,
-    and every such error's text starts with ``f"{path}: "``.
+    :mod:`dsmfuse.chebseries` defines the format.  Malformed text,
+    including bytes that do not decode, raises ValueError, and every such
+    error's text starts with ``f"{path}: "``.
     """
     degree, rows = _series.read_block(path)
     return ChebDensity._from_block(np.array(rows), degree)

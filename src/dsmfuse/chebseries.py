@@ -1,4 +1,13 @@
-"""Point beliefs of a stored density in plain Python: the ``.cheb`` reader and the belief form.
+"""Point beliefs of a stored density in plain Python: the ``.cheb`` format and the belief form.
+
+A ``.cheb`` file holds a density of degree N as the header ``cheb2d N`` and
+N+1 rows of N+1 coefficients; entry l of row k multiplies T_k(x) T_l(y).
+Every row is its coefficients' ``repr``s joined by single spaces, with a
+``"\n"`` after the last.  :func:`write_block` writes each row of the
+leading block followed by one zero tail, ``" 0.0"`` once per coefficient
+past the block, and then the all-zero rows, ``"0.0"`` and N times
+``" 0.0"``.  :func:`read_block` reads any finite float tokens, and its fast
+paths skip the text that :func:`write_block` writes for zeros.
 
 A density's belief of the generalized interval (lo, hi) is the integral of
 sum c[k][l] T_k(u) T_l(v) over u in [lo, 1] and v in [-1, hi], so it is the
@@ -14,9 +23,9 @@ block of coefficients enters the form, and no belief surface is built.
 
 This module loads nothing heavier than :mod:`math`, :mod:`operator` and the
 value records of :mod:`dsmfuse._values`, so the ``belief`` subcommand runs
-without numpy; :mod:`dsmfuse.chebfusion` reads its files and takes its
-belief basis and Chebyshev weights from here too.  The generalized interval
-lives here for the same reason.
+without numpy; :mod:`dsmfuse.chebfusion` reads and writes its files and
+takes its belief basis and Chebyshev weights from here too.  The
+generalized interval lives here for the same reason.
 """
 
 from __future__ import annotations
@@ -53,22 +62,37 @@ def interval_meet(a: GeneralizedInterval, b: GeneralizedInterval) -> Generalized
     return GeneralizedInterval(max(a.lo, b.lo), min(a.hi, b.hi))
 
 
-# --- the .cheb reader --------------------------------------------------------
+# --- the .cheb writer and reader ---------------------------------------------
+
+
+def write_block(path, degree: int, rows: list[list[float]]) -> None:
+    """Write a ``.cheb`` file of degree ``degree`` that starts with the square ``rows``.
+
+    ``rows`` holds floats, at most degree+1 on a side; every coefficient past
+    it is written as +0.0.  The zero tail and the all-zero row are formatted
+    once each.
+    """
+    tail = " 0.0" * (degree + 1 - len(rows)) + "\n"
+    with open(path, "w") as fh:
+        fh.write(f"cheb2d {degree}\n")
+        fh.writelines(" ".join(map(repr, row)) + tail for row in rows)
+        fh.write(_zero_row(degree) * (degree + 1 - len(rows)))
 
 
 def read_block(path) -> tuple[int, list[list[float]]]:
-    """Read a ``save_coeffs`` file as its degree and the rows of its leading block.
+    """Read a ``.cheb`` file as its degree and the rows of its leading block.
 
     The block is the smallest square, at least 1 x 1, past which every
     coefficient is +0.0; a -0.0 counts as used, so it reads back as written.
-    A line that is exactly the writer's all-zero row is not parsed.  Any
-    other row is parsed up to the writer's zero tail, its ``" 0.0"`` tokens
-    and the ``"\\n"`` that ends it, which is counted; a zero written any
-    other way, a doubled space or ``"\\r\\n"`` included, is parsed.  The
-    writer gives every row of the block the same tail, so each row is first
-    tried against the last tail met.  Reading stops at the first malformed
-    row, and non-finite coefficients are rejected once every row has been
-    read.  Blank lines may follow the last row, and nothing else.
+    A line that is exactly :func:`write_block`'s all-zero row is not parsed.
+    Any other row is parsed up to the writer's zero tail, its ``" 0.0"``
+    tokens and the ``"\\n"`` that ends it, which is counted; a zero written
+    any other way, a doubled space or ``"\\r\\n"`` included, is parsed.
+    :func:`write_block` gives every row of the block the same tail, so each
+    row is first tried against the last tail met.  Reading stops at the
+    first malformed row, and non-finite coefficients are rejected once every
+    row has been read.  Blank lines may follow the last row, and nothing
+    else.
     Malformed text, including bytes that do not decode, raises ValueError
     whose text starts with ``f"{path}: "``.
     """
@@ -83,7 +107,7 @@ def read_block(path) -> tuple[int, list[list[float]]]:
             for k in range(1, n + 2):
                 line = fh.readline()
                 if len(line) == 4 * n + 4:
-                    zero_row = zero_row or zero_row_text(n)
+                    zero_row = zero_row or _zero_row(n)
                     if line == zero_row:
                         heads.append([])
                         continue
@@ -113,13 +137,13 @@ def read_block(path) -> tuple[int, list[list[float]]]:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def zero_row_text(degree: int) -> str:
-    """The writer's all-zero row, ``4 * degree + 4`` characters long."""
+def _zero_row(degree: int) -> str:
+    """:func:`write_block`'s all-zero row, ``4 * degree + 4`` characters long."""
     return "0.0" + " 0.0" * degree + "\n"
 
 
 def _zero_tail(line: str) -> str | None:
-    """The longest writer's zero tail that ends ``line``, or None.
+    """The longest :func:`write_block` zero tail that ends ``line``, or None.
 
     It can start only at the first space after the line's last character
     that is not a space, ``0`` or ``.``; there is one when ``" 0.0"`` tiles

@@ -1,8 +1,8 @@
 """Every name a ``src/dsmfuse`` module imports, and every private name it
 defines at module level, is used in that module; no module reads another's
 private names; every error text it raises is asserted somewhere under
-``tests/``; and every ``tests/*_oracle.py`` module is imported by some
-``tests/test_*.py``."""
+``tests/``; only ``chebseries`` spells the ``.cheb`` text; and every
+``tests/*_oracle.py`` module is imported by some ``tests/test_*.py``."""
 
 import ast
 from pathlib import Path
@@ -111,6 +111,39 @@ def test_every_error_text_is_asserted(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     missing = [f"{line}: {text!r}" for line, text in error_texts(tree) if text not in tests]
     assert not missing, f"{path.name} raises texts that no test names: {missing}"
+
+
+def docstring_nodes(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
+                yield first.value
+
+
+def string_constants(tree):
+    # every str constant outside docstrings, the constant parts of f-strings included
+    docstrings = set(map(id, docstring_nodes(tree)))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and id(node) not in docstrings):
+            yield node.lineno, node.value
+
+
+CHEB_TEXT = ("cheb2d", " 0.0")
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_chebseries_spells_the_cheb_format(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    held = sorted(
+        (line, text) for line, value in string_constants(tree)
+        for text in CHEB_TEXT if text in value
+    )
+    if path.name == "chebseries.py":
+        assert {text for _line, text in held} == set(CHEB_TEXT)
+    else:
+        assert not held, f"{path.name} spells .cheb text that chebseries owns: {held}"
 
 
 def imported_modules(tree):

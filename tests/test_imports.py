@@ -4,9 +4,11 @@ The finite engine and its subcommands are pure Python: importing the package
 or running ``hyperpower`` or ``ordered`` must not load numpy or scipy.  The
 spectral subcommands ``fuse`` and ``fuse-demo`` need numpy alone, and
 ``belief`` loads neither numpy nor ``chebfusion``; none of them loads
-``prebool`` or ``ordered``.  Importing ``dsmfuse.cli``
-loads no engine, and no entry point loads ``dataclasses``.  Every case runs
-in a fresh interpreter, since this test process has loaded all of them.
+``prebool`` or ``ordered``.  Nor does writing and reading a ``.cheb`` file
+through ``chebseries`` load numpy or ``chebfusion``.  Importing
+``dsmfuse.cli`` loads no engine, and no entry point loads ``dataclasses``.
+Every case runs in a fresh interpreter, since this test process has loaded
+all of them.
 """
 
 import json
@@ -84,6 +86,18 @@ def test_belief_subcommand_loads_neither_numpy_nor_chebfusion(tmp_path):
     assert not {m.split(".")[0] for m in loaded} & {"numpy", "scipy"}
     assert {m for m in loaded if m.startswith("dsmfuse.")} == {
         "dsmfuse.cli", "dsmfuse.chebseries", "dsmfuse._values"}
+
+
+def test_cheb_round_trip_loads_neither_numpy_nor_chebfusion(tmp_path):
+    path = tmp_path / "block.cheb"
+    loaded, out = modules_after(
+        "from dsmfuse.chebseries import read_block, write_block\n"
+        f"write_block({str(path)!r}, 3, [[0.25, -0.0], [1e-300, 5e-324]])\n"
+        f"print(read_block({str(path)!r}))\n"
+    )
+    assert out == "(3, [[0.25, -0.0], [1e-300, 5e-324]])"
+    assert not {m.split(".")[0] for m in loaded} & {"numpy", "scipy"}
+    assert "dsmfuse.chebfusion" not in loaded
 
 
 def test_fuse_subcommands_load_numpy_only(tmp_path):

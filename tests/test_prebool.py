@@ -70,9 +70,10 @@ def test_negative_atom_count_is_rejected():
 
 
 def test_prop_key_is_kept_on_the_proposition():
-    # The listing stores each key as it walks, and the quotient's re-sort
-    # reads the same object.  Equality, hashing and repr still look at n and
-    # table alone.
+    # The listing stores each key as it walks.  The quotient's trusted path
+    # copies the listing's own objects, with no sort, so each member of its
+    # universe still carries the key object stored on it.  Equality, hashing
+    # and repr still look at n and table alone.
     listed = pb.enumerate_hyperpower(3)
     keys = [vars(p)["_prop_key"] for p in listed]
     q = pb.quotient(listed, pb.ConstraintSet(()))
