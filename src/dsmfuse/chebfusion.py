@@ -25,9 +25,11 @@ at a time, so the sample is the one full-grid array a fit holds.  Fusion multipl
 of its inputs up to the larger of the two chopped degrees, k, pointwise on a
 Lobatto grid.  That grid is the smallest fast one on which the products'
 high modes cannot alias into the min(n, 2k+1) kept ones (Orszag's 3/2 rule;
-at k = n it is about 3/2 times the input degree n).  The result has degree
-n.  Only ``ChebDensity.coeffs`` pads a block with zeros to its degree.  A
-series whose coefficients do not decay to a plateau is not cut.
+at k = n it is about 3/2 times the input degree n).  The product is then
+chopped by the same rule, so the result, of degree n, is its own chop; a
+product with no plateau is kept whole.  Only
+``ChebDensity.coeffs`` pads a block with zeros to its degree.  A series
+whose coefficients do not decay to a plateau is not cut.
 
 The cosine transforms are real FFTs of the mirrored samples, as in Chebfun,
 so the module needs numpy alone.
@@ -389,7 +391,11 @@ def fuse(m1: ChebDensity, m2: ChebDensity) -> ChebDensity:
     DCT-I folds a mode p > M onto 2M - p, which lies above the kept degree
     K = min(n, 2k+1) whenever 2M > 2k+1+K; products sampled on the smallest
     fast such grid (Orszag's 3/2 rule, 2M > 3n+1 at k = n) and truncated to
-    degree K are exact; they form the block of the degree-n result.
+    degree K are exact.  That product is chopped by the rule :func:`fit`
+    applies (:func:`chop`): its leading block up to the round-off plateau is
+    the block of the degree-n result.  The result is its own chop, which
+    ``tests/test_fuse_chop.py`` checks on seeded fusions.  A product with no
+    plateau, or of a degree n below 16, is kept whole.
     """
     _require_normalized(m1)
     _require_normalized(m2)
@@ -406,7 +412,9 @@ def fuse(m1: ChebDensity, m2: ChebDensity) -> ChebDensity:
         fb = _axis_cumulative(qb, axis=0, full_at=1)      # F_b
         total += _coeffs_to_values(ca, size) * _coeffs_to_values(fb, size)
         total += _coeffs_to_values(pa, size) * _coeffs_to_values(qb, size)
-    return ChebDensity._from_block(_values_to_coeffs(total, keep), n)
+    fused = ChebDensity._from_block(_values_to_coeffs(total, keep), n)
+    j = chop(fused)
+    return ChebDensity._from_block(fused._block[: j + 1, : j + 1], n)
 
 
 def _alias_free_size(k: int, keep: int) -> int:

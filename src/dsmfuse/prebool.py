@@ -242,9 +242,16 @@ class _Listing(list):
     def __reduce__(self):
         return list, (list(self),)
 
-    def _unchanged(self) -> bool:
-        """True while this holds exactly the members listed, in that order."""
-        return len(self) == len(self._members) and all(map(is_, self, self._members))
+
+def _holds(universe: Sequence[Proposition], members: tuple[Proposition, ...]) -> bool:
+    """True while universe holds exactly these members, in this order."""
+    return len(universe) == len(members) and all(map(is_, universe, members))
+
+
+# The plain-list universe of the last Quotient built from anything but that
+# list, and the walk's members it holds: quotient(q.universe, ...) takes it
+# unchecked while it is unchanged.
+_last_universe: tuple[list[Proposition], tuple[Proposition, ...]] = ([], ())
 
 
 DEFAULT_ATOM_GUARD = 4
@@ -362,12 +369,24 @@ class Quotient:
     :func:`enumerate_hyperpower` that still holds exactly the members it
     listed, in that order, is complete and ordered by construction, so it is
     only copied: O(|U|) identity tests instead of the check and the walk.
+    A quotient's own ``universe`` is a plain list of those members, and it
+    is trusted the same way while unchanged, so long as it belongs to the
+    last quotient built from anything but itself: after
+    ``q = free_algebra(4)``, each ``quotient(q.universe, ...)`` skips the
+    check until a quotient is built on some other universe.
     """
 
     def __init__(self, universe: Sequence[Proposition], gamma: ConstraintSet) -> None:
-        if not (isinstance(universe, _Listing) and universe._unchanged()):
-            universe = _check_universe(list(universe))
-        self.universe = list(universe)
+        global _last_universe
+        last, members = _last_universe
+        reused = universe is last and _holds(universe, members)
+        if not reused:
+            members = universe._members if isinstance(universe, _Listing) else ()
+            if not (members and _holds(universe, members)):
+                members = _check_universe(list(universe))._members
+        self.universe = list(members)
+        if not reused:
+            _last_universe = self.universe, members
         self._n = n = self.universe[0].n
         self._keep = ~congruence_mask(gamma)
         # key() rejects constraint elements over another atom count.

@@ -1,13 +1,15 @@
-"""Reference spectral fusion: full-degree and doubled-grid ``fuse``, ``chebint`` antiderivative.
+"""Reference spectral fusion: full-degree, unchopped and doubled-grid ``fuse``, ``chebint`` antiderivative.
 
 ``chebfusion.fuse`` forms its products from the inputs' chopped leading
-blocks on a 3/2-rule grid with zero-aware, truncating transforms, and
-``chebfusion._axis_cumulative`` uses a vectorized recurrence.  This module
-keeps the versions they replaced: ``fuse_full``, the same 3/2-rule fusion at
-the full input degree; ``fuse``, products sampled on the (2n+1)^2 Lobatto
-grid, where no mode of degree <= 2n+1 can alias into the kept ones; and
-antiderivatives from ``numpy.polynomial.chebyshev.chebint``.  Tests compare
-them to round-off, and ``fuse_full`` bit for bit on inputs that do not chop.
+blocks on a 3/2-rule grid with zero-aware, truncating transforms, chops the
+product, and ``chebfusion._axis_cumulative`` uses a vectorized recurrence.
+This module keeps the versions they replaced: ``fuse_full``, the same
+3/2-rule fusion at the full input degree; ``fuse_unchopped``, the fusion of
+the chopped inputs with every kept mode of the product; ``fuse``, products
+sampled on the (2n+1)^2 Lobatto grid, where no mode of degree <= 2n+1 can
+alias into the kept ones; and antiderivatives from
+``numpy.polynomial.chebyshev.chebint``.  Tests compare them to round-off,
+and ``fuse_full`` bit for bit on inputs that do not chop.
 
 ``coeffs_to_values`` and ``values_to_coeffs`` are the full-size transforms
 through ``scipy.fft.dct``, which ``chebfusion`` used before it computed the
@@ -104,6 +106,30 @@ def fuse_full(m1: cf.ChebDensity, m2: cf.ChebDensity) -> cf.ChebDensity:
         total += cf._coeffs_to_values(a.coeffs, size) * cf._coeffs_to_values(fb, size)
         total += cf._coeffs_to_values(pa, size) * cf._coeffs_to_values(qb, size)
     return cf.ChebDensity(cf._values_to_coeffs(total, n))
+
+
+def fuse_unchopped(m1: cf.ChebDensity, m2: cf.ChebDensity) -> cf.ChebDensity:
+    """``chebfusion.fuse`` as it was before it chopped its product.
+
+    The inputs are chopped and fused on the same grid, and every kept mode,
+    min(n, 2k+1) + 1 per axis, is returned.
+    """
+    cf._require_normalized(m1)
+    cf._require_normalized(m2)
+    n = max(m1.degree, m2.degree)
+    m1, m2 = (m if m.degree == n else cf.ChebDensity._from_block(m._block, n) for m in (m1, m2))
+    k = max(cf.chop(m1), cf.chop(m2))
+    keep = min(n, 2 * k + 1)
+    size = cf._alias_free_size(k, keep)
+    total = np.zeros((size + 1, size + 1))
+    for a, b in ((m1, m2), (m2, m1)):
+        ca, cb = a._leading(k + 1), b._leading(k + 1)
+        pa = cf._axis_cumulative(ca, axis=0, full_at=1)      # P_a
+        qb = cf._axis_cumulative(cb, axis=1, full_at=-1)     # Q_b
+        fb = cf._axis_cumulative(qb, axis=0, full_at=1)      # F_b
+        total += cf._coeffs_to_values(ca, size) * cf._coeffs_to_values(fb, size)
+        total += cf._coeffs_to_values(pa, size) * cf._coeffs_to_values(qb, size)
+    return cf.ChebDensity._from_block(cf._values_to_coeffs(total, keep), n)
 
 
 def cell_fusion(a1: np.ndarray, a2: np.ndarray) -> np.ndarray:

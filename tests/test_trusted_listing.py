@@ -6,7 +6,9 @@ it while it still holds exactly the members listed, in that order.  The
 quotient must then equal the one built on a plain copy of the listing.  Any
 other universe, an edited listing, a copy or a pickle among them, must be
 checked as a plain list is: the same result or the same error, after one
-universe check.
+universe check.  The plain-list ``universe`` of the last quotient built is
+taken unchecked in the same way while it is unchanged, and checked once
+edited.
 """
 
 import copy
@@ -131,3 +133,29 @@ def test_a_copy_is_a_plain_list(make, check_calls):
     result, calls = outcome(copied, gamma, check_calls)
     assert calls == 1
     assert result == outcome(list(listing(4)), gamma, check_calls)[0]
+
+
+def test_a_quotient_universe_is_not_checked_again(check_calls):
+    gamma = od.order_constraints(4)
+    q = pb.quotient(pb.free_algebra(4).universe, gamma)
+    assert check_calls == []
+    assert fields(q) == fields(pb.quotient(list(listing(4)), gamma))
+    # a universe stays trusted while the quotients built on it are made
+    free = pb.free_algebra(4)
+    del check_calls[:]
+    for constraints in (gamma, EMPTY, gamma):
+        pb.quotient(free.universe, constraints)
+    assert check_calls == []
+
+
+@pytest.mark.parametrize("edit, error", EDITS.values(), ids=EDITS.keys())
+def test_an_edited_quotient_universe_is_checked(edit, error, check_calls):
+    gamma = od.order_constraints(4)
+    universe = pb.free_algebra(4).universe
+    copied = list(universe)
+    edit(copied)
+    edit(universe)
+    for edited in (universe, copied):
+        result, calls = outcome(edited, gamma, check_calls)
+        assert calls == 1
+        assert result == outcome(list(copied), gamma, check_calls)[0]
